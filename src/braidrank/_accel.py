@@ -1,53 +1,20 @@
 """Hot integer kernels: rational and modular Gauss-Jordan elimination.
 
-Two interchangeable lanes compute bit-identical results:
-
-* ``numba``  -- @njit compiled loops (default when numba imports cleanly),
-* ``numpy``  -- vectorised pure-numpy row operations.
-
-Set the environment variable ``BRAIDRANK_NO_NUMBA=1`` before import to force
-the numpy lane.  Both lanes operate on int64 arrays and bail out when an
-upcoming elimination step could overflow; the caller then re-runs the same
-algorithm on an object-dtype (arbitrary precision) copy, so results are exact
-for any input.  ``benchmarks/bench_kernels.py`` compares the two lanes.
+Every kernel is vectorised numpy on int64 arrays.  Before an elimination
+step or a product that could overflow int64, the kernel bails out and the
+same algorithm re-runs on an object-dtype (arbitrary precision) copy, so
+results are exact for any input.
 
 All kernels are sequential; repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 # Largest |numerator| or denominator for which one elimination update (two
 # products plus a subtraction) provably fits in int64: 2 * LIMIT**2 < 2**63.
 LIMIT = 2_000_000_000
-
-_HAS_NUMBA = False
-if os.environ.get("BRAIDRANK_NO_NUMBA", "") not in ("1", "true", "yes"):
-    try:
-        import numba
-
-        _HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAS_NUMBA = False
-
-_LANE = "numba" if _HAS_NUMBA else "numpy"
-
-
-def active_lane() -> str:
-    return _LANE
-
-
-def set_lane(name: str) -> None:
-    """Switch between 'numba' and 'numpy' kernels (used by the benchmark)."""
-    global _LANE
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown lane {name!r}")
-    if name == "numba" and not _HAS_NUMBA:
-        raise ValueError("numba is not available")
-    _LANE = name
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +39,7 @@ def gcd_int(a: int, b: int) -> int:
 
 
 def _rref_frac_generic(num, dens, guarded: bool):
-    """Shared numpy implementation; int64 (guarded) or object dtype."""
+    """Elimination on int64 (guarded against overflow) or object dtype."""
     rows, cols = num.shape
     pivots: list[int] = []
     r = 0
@@ -137,98 +104,6 @@ def _rref_frac_generic(num, dens, guarded: bool):
     return pivots, True
 
 
-if _HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _rref_frac_numba(num, dens, limit):  # pragma: no cover
-        rows, cols = num.shape
-        cap = rows if rows < cols else cols
-        pivots = np.empty(cap, dtype=np.int64)
-        npiv = 0
-        maxabs = np.int64(0)
-        for i in range(rows):
-            for j in range(cols):
-                v = num[i, j]
-                if v < 0:
-                    v = -v
-                if v > maxabs:
-                    maxabs = v
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pr = -1
-            for i in range(r, rows):
-                if num[i, c] != 0:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if maxabs > limit:
-                return pivots[:npiv], False
-            if pr != r:
-                for j in range(cols):
-                    t = num[r, j]
-                    num[r, j] = num[pr, j]
-                    num[pr, j] = t
-                t = dens[r]
-                dens[r] = dens[pr]
-                dens[pr] = t
-            piv = num[r, c]
-            if piv < 0:
-                piv = -piv
-                for j in range(cols):
-                    num[r, j] = -num[r, j]
-            dens[r] = piv
-            g = dens[r]
-            for j in range(cols):
-                v = num[r, j]
-                if v < 0:
-                    v = -v
-                while v:
-                    g, v = v, g % v
-                if g == 1:
-                    break
-            if g > 1:
-                for j in range(cols):
-                    num[r, j] //= g
-                dens[r] //= g
-            dr = dens[r]
-            newmax = np.int64(0)
-            for i in range(rows):
-                f = num[i, c] if i != r else np.int64(0)
-                if f != 0:
-                    for j in range(cols):
-                        num[i, j] = num[i, j] * dr - f * num[r, j]
-                    dens[i] = dens[i] * dr
-                    g = dens[i]
-                    for j in range(cols):
-                        v = num[i, j]
-                        if v < 0:
-                            v = -v
-                        while v:
-                            g, v = v, g % v
-                        if g == 1:
-                            break
-                    if g > 1:
-                        for j in range(cols):
-                            num[i, j] //= g
-                        dens[i] //= g
-                for j in range(cols):
-                    v = num[i, j]
-                    if v < 0:
-                        v = -v
-                    if v > newmax:
-                        newmax = v
-                if dens[i] > newmax:
-                    newmax = dens[i]
-            maxabs = newmax
-            pivots[npiv] = c
-            npiv += 1
-            r += 1
-        return pivots[:npiv], True
-
-
 def rref_frac(num: np.ndarray):
     """Rational rref of an integer matrix (row denominators are internal).
 
@@ -237,20 +112,12 @@ def rref_frac(num: np.ndarray):
     not modified; int64 work falls back to exact object arithmetic when an
     elimination step could overflow.
     """
-    if num.dtype == object:
-        work = num.copy()
-        dens = np.ones(num.shape[0], dtype=object)
-        pivots, _ = _rref_frac_generic(work, dens, guarded=False)
-        return work, dens, pivots
-    work = np.ascontiguousarray(num, dtype=np.int64).copy()
-    dens = np.ones(num.shape[0], dtype=np.int64)
-    if _LANE == "numba" and _HAS_NUMBA:
-        piv_arr, ok = _rref_frac_numba(work, dens, LIMIT)
-        pivots = [int(c) for c in piv_arr]
-    else:
+    if num.dtype != object:
+        work = np.ascontiguousarray(num, dtype=np.int64).copy()
+        dens = np.ones(num.shape[0], dtype=np.int64)
         pivots, ok = _rref_frac_generic(work, dens, guarded=True)
-    if ok:
-        return work, dens, pivots
+        if ok:
+            return work, dens, pivots
     work = num.astype(object)
     dens = np.ones(num.shape[0], dtype=object)
     pivots, _ = _rref_frac_generic(work, dens, guarded=False)
@@ -290,55 +157,6 @@ def _rref_mod_generic(a, p):
     return pivots
 
 
-if _HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _rref_mod_numba(a, p):  # pragma: no cover - exercised via dispatch
-        rows, cols = a.shape
-        cap = rows if rows < cols else cols
-        pivots = np.empty(cap, dtype=np.int64)
-        npiv = 0
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pr = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if pr != r:
-                for j in range(cols):
-                    t = a[r, j]
-                    a[r, j] = a[pr, j]
-                    a[pr, j] = t
-            # modular inverse by extended euclid
-            t0 = np.int64(0)
-            t1 = np.int64(1)
-            r0 = p
-            r1 = a[r, c]
-            while r1 != 0:
-                q = r0 // r1
-                t0, t1 = t1, t0 - q * t1
-                r0, r1 = r1, r0 - q * r1
-            inv = t0 % p
-            for j in range(cols):
-                a[r, j] = a[r, j] * inv % p
-            for i in range(rows):
-                if i == r:
-                    continue
-                f = a[i, c]
-                if f != 0:
-                    for j in range(cols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            pivots[npiv] = c
-            npiv += 1
-            r += 1
-        return pivots[:npiv]
-
-
 def rref_mod(num: np.ndarray, p: int):
     """Reduced row echelon form of ``num`` modulo prime ``p`` (copy).
 
@@ -346,14 +164,9 @@ def rref_mod(num: np.ndarray, p: int):
     """
     if p < MOD_INT64_MAX and num.dtype != object:
         work = np.ascontiguousarray(num, dtype=np.int64).copy()
-        if _LANE == "numba" and _HAS_NUMBA:
-            pivots = [int(c) for c in _rref_mod_numba(work, p)]
-        else:
-            pivots = _rref_mod_generic(work, p)
-        return work, pivots
+        return work, _rref_mod_generic(work, p)
     work = num.astype(object)
-    pivots = _rref_mod_generic(work, p)
-    return work, pivots
+    return work, _rref_mod_generic(work, p)
 
 
 # ---------------------------------------------------------------------------
@@ -361,39 +174,11 @@ def rref_mod(num: np.ndarray, p: int):
 # ---------------------------------------------------------------------------
 
 
-if _HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _matmul_mod_numba(a, b, p, chunk):  # pragma: no cover
-        m, k = a.shape
-        n = b.shape[1]
-        out = np.zeros((m, n), dtype=np.int64)
-        for i in range(m):
-            for j in range(n):
-                acc = np.int64(0)
-                cnt = 0
-                for t in range(k):
-                    acc += a[i, t] * b[t, j]
-                    cnt += 1
-                    if cnt == chunk:
-                        acc %= p
-                        cnt = 0
-                out[i, j] = acc % p
-        return out
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact ``a @ b mod p`` for canonical residue matrices."""
     if p < MOD_INT64_MAX and a.dtype != object and b.dtype != object:
         # margin of p keeps the running "partial product plus carry" in int64
         chunk = max(1, (2**63 - 1 - p) // max(1, (p - 1) * (p - 1)))
-        if _LANE == "numba" and _HAS_NUMBA:
-            return _matmul_mod_numba(
-                np.ascontiguousarray(a, dtype=np.int64),
-                np.ascontiguousarray(b, dtype=np.int64),
-                p,
-                chunk,
-            )
         k = a.shape[1]
         if k <= chunk:
             return (a @ b) % p

@@ -9,8 +9,10 @@ Exit codes: 0 ok, 1 braiding validation failure, 2 parse error,
 3 tower not stabilized within max_iter (a report is still written).
 
 The optional cache directory stores per-stage relation bases keyed by a
-stable hash of (field, braiding entries, cutoff); hits are bit-identical to
-recomputation and partial runs are resumed instead of restarted.
+stable hash of (field, braiding entries, cutoff).  It is a thin layer over
+``tower.run``: hits are bit-identical to recomputation, partial runs are
+resumed instead of restarted, and a document that fails any check is
+recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import click
 
 from . import bialgebra, tower
 from .bialgebra import GradedQuotient, free_truncated, hilbert_series, primitives
-from .braiding import BraidedSpace, make_diagonal, make_flip, make_from_matrix
-from .errors import BraidrankError, InvalidField
+from .braiding import DEGREE_CAP, BraidedSpace, make_diagonal, make_flip, make_from_matrix
+from .errors import AmbientMismatch, BraidrankError, InvalidField
 from .exactlin import FieldSpec, GF, Matrix, RATIONALS, Subspace, format_scalar
 from .nichols_oracle import compare, nichols_truncation
 from .tower import RankReport, StageReport
@@ -66,12 +68,17 @@ def _parse_field(doc) -> FieldSpec:
         if kind == "rationals":
             return RATIONALS
         if kind == "prime":
-            if "p" not in doc or not isinstance(doc["p"], int):
+            if not _is_int(doc.get("p")):
                 raise ParseError("prime field needs an integer p")
             return GF(doc["p"])
     except InvalidField as exc:
         raise ParseError(str(exc)) from None
     raise ParseError(f"unknown field kind {kind!r}")
+
+
+def _is_int(value) -> bool:
+    """True for JSON integers; ``true`` / ``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_scalar_grid(field, grid, what):
@@ -89,7 +96,7 @@ class JobSpec:
     def __init__(self, doc: dict, cutoff=None, max_iter=None, oracle=None):
         self.field = _parse_field(doc.get("field"))
         n = doc.get("dimension")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ParseError("dimension must be a positive integer")
         self.dimension = n
         br = doc.get("braiding")
@@ -99,13 +106,15 @@ class JobSpec:
         cut = cutoff if cutoff is not None else doc.get("degree_cutoff")
         if cut is None:
             raise ParseError("degree_cutoff missing (or pass --cutoff)")
-        if not isinstance(cut, int) or cut < 1:
+        if not _is_int(cut) or cut < 1:
             raise ParseError("degree_cutoff must be a positive integer")
+        if cut > DEGREE_CAP:
+            raise ParseError(f"degree_cutoff must be at most {DEGREE_CAP}")
         self.cutoff = cut
         mi = max_iter if max_iter is not None else doc.get("max_iter")
         if mi is None:
             mi = cut
-        if not isinstance(mi, int) or mi < 0:
+        if not _is_int(mi) or mi < 0:
             raise ParseError("max_iter must be a nonnegative integer")
         self.max_iter = mi
         orc = oracle if oracle else doc.get("oracle", False)
@@ -167,7 +176,10 @@ def _subspace_doc(sub: Subspace, field) -> list:
 def _subspace_from_doc(field, ambient, rows) -> Subspace:
     if not rows:
         return Subspace.zero(field, ambient)
-    return Subspace.from_rows(Matrix.from_scalars(field, rows))
+    mat = Matrix.from_scalars(field, rows)
+    if mat.cols != ambient:
+        raise AmbientMismatch(f"relation rows of length {mat.cols} in V^(x)d of dimension {ambient}")
+    return Subspace.from_rows(mat)
 
 
 def _quotient_relations_doc(q: GradedQuotient) -> dict:
@@ -213,72 +225,96 @@ def _atomic_write(path: str, text: str):
 
 
 def _stage_from_doc(k, doc) -> StageReport:
+    hilbert, dims, iso = doc["hilbert"], doc["new_relation_dims"], doc["iso"]
+    if not (_int_list(hilbert) and _int_list(dims) and isinstance(iso, bool)):
+        raise ValueError(f"cached stage {k} is malformed")
     return StageReport(
         stage=k,
-        hilbert=tuple(doc["hilbert"]),
-        new_relation_dims=tuple(doc["new_relation_dims"]),
-        stage_map_iso=doc["iso"],
+        hilbert=tuple(hilbert),
+        new_relation_dims=tuple(dims),
+        stage_map_iso=iso,
     )
 
 
-def _run_tower_cached(spec: JobSpec, space: BraidedSpace, cache_dir: str | None) -> RankReport:
-    """Tower run with optional cache: exact hits are served, partials resumed."""
-    if not cache_dir:
-        return tower.run(space, spec.cutoff, spec.max_iter)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_key(spec, space) + ".json")
-    cached = None
-    if os.path.exists(path):
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+class _StageCache:
+    """One cache document: the resume point it holds, and its rewrite."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.doc = None
+        self.relation_docs: list = []
+
+    def resume_point(self, space: BraidedSpace, cutoff: int, max_iter: int):
+        """The cached stages usable under ``max_iter`` and the quotient after them.
+
+        Only the last usable stage's relations are parsed, and they go
+        through the full invariant re-check.  A missing document, or one
+        that fails any check, is a miss: the run starts from the free object
+        and the document is rewritten.
+        """
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cached = json.load(fh)
+            with open(self.path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc_stages = doc["report"]["stages"]
+            doc_rels = doc["stage_relations"]
             if (
-                cached.get("version") != 1
-                or not isinstance(cached.get("stage_relations"), list)
-                or not isinstance(cached.get("report", {}).get("stages"), list)
-                or len(cached["stage_relations"]) != len(cached["report"]["stages"])
+                doc["version"] != 1
+                or not _is_int(doc["max_iter"])
+                or not isinstance(doc_stages, list)
+                or not isinstance(doc_rels, list)
+                or len(doc_rels) != len(doc_stages)
             ):
-                cached = None
-        except (OSError, json.JSONDecodeError, AttributeError):
-            cached = None
+                raise ValueError("cache document out of shape")
+            usable = min(len(doc_stages), max_iter)
+            stages = [_stage_from_doc(k, doc_stages[k]) for k in range(usable)]
+            if usable:
+                q = _quotient_from_doc(space, cutoff, doc_rels[usable - 1])
+            else:
+                q = free_truncated(space, cutoff)
+        # a file on disk can hold anything: each of these is a malformed
+        # document, and a failed re-check raises a BraidrankError
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, BraidrankError):
+            return [], free_truncated(space, cutoff)
+        self.doc, self.relation_docs = doc, doc_rels[:usable]
+        return stages, q
 
-    stages: list[StageReport] = []
-    quotients_docs: list[dict] = []
-    q = free_truncated(space, spec.cutoff)
-    start = 0
-    if cached is not None:
-        doc_stages = cached["report"]["stages"]
-        doc_rels = cached["stage_relations"]
-        usable = min(len(doc_stages), spec.max_iter)
-        for k in range(usable):
-            stages.append(_stage_from_doc(k, doc_stages[k]))
-            quotients_docs.append(doc_rels[k])
-        if usable:
-            q = _quotient_from_doc(space, spec.cutoff, doc_rels[usable - 1])
-        start = usable
+    def record(self, q: GradedQuotient, rep: StageReport):
+        self.relation_docs.append(_quotient_relations_doc(q))
 
-    rank = next((s.stage for s in stages if s.stage_map_iso), None)
-    if rank is None:
-        for k in range(start, spec.max_iter):
-            q, rep = tower.step(q, k)
-            stages.append(rep)
-            quotients_docs.append(_quotient_relations_doc(q))
-            if rep.stage_map_iso:
-                rank = k
-                break
-    report = RankReport(
-        stages=stages, rank_le_cutoff=rank, stabilized=rank is not None, final=q
-    )
-    # rewrite only when new stages were computed, so a shorter request never
-    # truncates a longer cached run
-    if cached is None or len(quotients_docs) > len(cached["stage_relations"]):
+    def save(self, report: RankReport, max_iter: int):
+        # rewrite only when new stages were computed, so a shorter request
+        # never truncates a longer cached run
+        if self.doc is not None and len(self.relation_docs) <= len(self.doc["stage_relations"]):
+            return
         payload = {
             "version": 1,
-            "max_iter": max(spec.max_iter, cached["max_iter"] if cached else 0),
+            "max_iter": max(max_iter, self.doc["max_iter"] if self.doc else 0),
             "report": rank_report_doc(report),
-            "stage_relations": quotients_docs,
+            "stage_relations": self.relation_docs,
         }
-        _atomic_write(path, json.dumps(payload, indent=1) + "\n")
+        _atomic_write(self.path, json.dumps(payload, indent=1) + "\n")
+
+
+def _run_tower_cached(
+    spec: JobSpec, space: BraidedSpace, cache_dir: str | None, max_iter: int
+) -> RankReport:
+    """Tower run with optional cache: exact hits are served, partials resumed."""
+    if not cache_dir:
+        return tower.run(space, spec.cutoff, max_iter)
+    os.makedirs(cache_dir, exist_ok=True)
+    cache = _StageCache(os.path.join(cache_dir, _cache_key(spec, space) + ".json"))
+    report = tower.run(
+        space,
+        spec.cutoff,
+        max_iter,
+        resume=cache.resume_point(space, spec.cutoff, max_iter),
+        on_stage=cache.record,
+    )
+    cache.save(report, max_iter)
     return report
 
 
@@ -355,13 +391,27 @@ def main():
     """Exact braided bialgebra towers, combinatorial rank, Nichols truncations."""
 
 
-def _load_spec(input_path, cutoff, max_iter, oracle=None) -> JobSpec:
-    return JobSpec(_read_document(input_path), cutoff, max_iter, oracle)
-
-
 def _fail_parse(exc) -> "NoReturn":
     click.echo(f"parse error: {exc}", err=True)
     sys.exit(2)
+
+
+def _load_job(input_path, cutoff, max_iter, oracle=None, check_options=None):
+    """The job spec and its validated braided space, or exit 2 / exit 1.
+
+    ``check_options(spec)`` validates command options against the spec
+    before the braiding is built; it raises :class:`ParseError`.
+    """
+    try:
+        spec = JobSpec(_read_document(input_path), cutoff, max_iter, oracle)
+        if check_options is not None:
+            check_options(spec)
+        return spec, spec.build_space()
+    except ParseError as exc:
+        _fail_parse(exc)
+    except BraidrankError as exc:
+        click.echo(f"invalid braiding: {exc}", err=True)
+        sys.exit(1)
 
 
 @main.command()
@@ -371,11 +421,7 @@ def check(input_path, cutoff, max_iter, cache_dir, as_json):
     try:
         doc = _read_document(input_path)
         doc.setdefault("degree_cutoff", 1)
-        spec = JobSpec(doc, cutoff, max_iter)
-    except ParseError as exc:
-        _fail_parse(exc)
-    try:
-        space = spec.build_space()
+        space = JobSpec(doc, cutoff, max_iter).build_space()
     except ParseError as exc:
         _fail_parse(exc)
     except BraidrankError as exc:
@@ -398,18 +444,8 @@ def check(input_path, cutoff, max_iter, cache_dir, as_json):
 @click.option("--report", "report_path", default=None, help="also write the JSON report to a file")
 def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
     """Run the quotient tower and report the rank visible below the cutoff."""
-    try:
-        spec = _load_spec(input_path, cutoff, max_iter, oracle)
-    except ParseError as exc:
-        _fail_parse(exc)
-    try:
-        space = spec.build_space()
-    except ParseError as exc:
-        _fail_parse(exc)
-    except BraidrankError as exc:
-        click.echo(f"invalid braiding: {exc}", err=True)
-        sys.exit(1)
-    rep = _run_tower_cached(spec, space, cache_dir)
+    spec, space = _load_job(input_path, cutoff, max_iter, oracle)
+    rep = _run_tower_cached(spec, space, cache_dir, spec.max_iter)
     if spec.oracle and rep.stabilized:
         rep.oracle_match = compare(rep.final, nichols_truncation(space, spec.cutoff))
     doc = rank_report_doc(rep)
@@ -428,19 +464,9 @@ def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
 @_common
 def nichols(input_path, cutoff, max_iter, cache_dir, as_json):
     """Compute the symmetrizer-oracle truncation and compare with the tower."""
-    try:
-        spec = _load_spec(input_path, cutoff, max_iter)
-    except ParseError as exc:
-        _fail_parse(exc)
-    try:
-        space = spec.build_space()
-    except ParseError as exc:
-        _fail_parse(exc)
-    except BraidrankError as exc:
-        click.echo(f"invalid braiding: {exc}", err=True)
-        sys.exit(1)
+    spec, space = _load_job(input_path, cutoff, max_iter)
     oracle_q = nichols_truncation(space, spec.cutoff)
-    rep = _run_tower_cached(spec, space, cache_dir)
+    rep = _run_tower_cached(spec, space, cache_dir, spec.max_iter)
     match = compare(rep.final, oracle_q) if rep.stabilized else None
     doc = {
         "oracle_hilbert": hilbert_series(oracle_q),
@@ -467,26 +493,16 @@ def nichols(input_path, cutoff, max_iter, cache_dir, as_json):
 @click.option("--degree", type=int, required=True, help="tensor degree to report")
 def primitives_cmd(input_path, cutoff, max_iter, cache_dir, as_json, stage, degree):
     """Print a basis of the primitive space at a given stage and degree."""
-    try:
-        spec = _load_spec(input_path, cutoff, max_iter)
+
+    def check_options(spec):
         if stage < 0 or stage > spec.max_iter:
             raise ParseError(f"stage must lie in 0..max_iter={spec.max_iter}")
         if not 1 <= degree <= spec.cutoff:
             raise ParseError(f"degree must lie in 1..{spec.cutoff}")
-    except ParseError as exc:
-        _fail_parse(exc)
-    try:
-        space = spec.build_space()
-    except ParseError as exc:
-        _fail_parse(exc)
-    except BraidrankError as exc:
-        click.echo(f"invalid braiding: {exc}", err=True)
-        sys.exit(1)
-    q = free_truncated(space, spec.cutoff)
-    for k in range(stage):
-        q, rep = tower.step(q, k)
-        if rep.stage_map_iso:
-            break
+
+    spec, space = _load_job(input_path, cutoff, max_iter, check_options=check_options)
+    # the tower stops early once stabilized, leaving the quotient unchanged
+    q = _run_tower_cached(spec, space, cache_dir, stage).final
     report = primitives(q, degree)
     sub = report.subspace
     if as_json:

@@ -10,7 +10,8 @@ Matrices
     arbitrary-precision objects otherwise) plus a single positive denominator
     (always 1 over F_p).  The representation is canonical - the gcd of all
     numerators and the denominator is 1 - so ``==`` is exact value equality
-    and results are bit-identical across runs and kernel lanes.
+    and results are bit-identical across runs and across the int64 and
+    object-dtype kernel paths.
 
 Subspaces
     A :class:`Subspace` is the unique reduced-row-echelon basis of a subspace

@@ -16,6 +16,7 @@ tiny sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,26 +101,43 @@ def step(q: GradedQuotient, stage: int = 0) -> tuple[GradedQuotient, StageReport
     return out, StageReport(stage, tuple(hilbert_series(out)), tuple(dims), False)
 
 
-def run(space: BraidedSpace, cutoff: int, max_iter: int | None = None) -> RankReport:
+def run(
+    space: BraidedSpace,
+    cutoff: int,
+    max_iter: int | None = None,
+    *,
+    resume: tuple[list[StageReport], GradedQuotient] | None = None,
+    on_stage: Callable[[GradedQuotient, StageReport], None] | None = None,
+) -> RankReport:
     """Iterate :func:`step` from the free object until stabilization.
 
     ``max_iter`` defaults to the cutoff (each productive step adds relations
     in some degree <= D).  Non-stabilization within max_iter is reported
     in-band via ``stabilized=False``, never raised.
+
+    ``resume`` continues an earlier run from its stage reports and the
+    quotient after the last of them; a resumed run that has already
+    stabilized takes no further step.  ``on_stage(q, report)`` is called
+    after each new step with the quotient that step produced.
     """
     if max_iter is None:
         max_iter = cutoff
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    q = free_truncated(space, cutoff)
-    stages: list[StageReport] = []
-    rank = None
-    for k in range(max_iter):
+    stages, q = resume if resume is not None else ([], free_truncated(space, cutoff))
+    stages = list(stages)
+    # hold the start quotient only until the loop steps past it
+    del resume
+    rank = next((s.stage for s in stages if s.stage_map_iso), None)
+    k = len(stages)
+    while rank is None and k < max_iter:
         q, rep = step(q, k)
         stages.append(rep)
+        if on_stage is not None:
+            on_stage(q, rep)
         if rep.stage_map_iso:
             rank = k
-            break
+        k += 1
     return RankReport(
         stages=stages,
         rank_le_cutoff=rank,

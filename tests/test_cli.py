@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+from braidrank import cli, tower
 from braidrank.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FLIP2 = {
     "field": {"kind": "rationals"},
@@ -261,3 +268,109 @@ def test_nonprime_field_exits_2():
     }
     res = invoke(["rank"], doc=doc)
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", True),
+        ("degree_cutoff", True),
+        ("degree_cutoff", 13),
+        ("max_iter", True),
+        ("max_iter", False),
+    ],
+)
+def test_bad_integer_fields_exit_2(field, value):
+    res = invoke(["rank", "--json"], doc={**FLIP2, field: value})
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error:")
+
+
+def _drop_hilbert(doc):
+    del doc["report"]["stages"][0]["hilbert"]
+
+
+def _bad_scalar(doc):
+    doc["stage_relations"][-1]["2"][0][0] = "1/x"
+
+
+def _relations_not_a_dict(doc):
+    doc["stage_relations"][-1] = []
+
+
+def _row_too_long(doc):
+    doc["stage_relations"][-1]["2"][0].append("0")
+
+
+def _breaks_ideal_closure(doc):
+    # the degree-2 commutator no longer generates anything in degree 3
+    doc["stage_relations"][-1]["3"] = []
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_hilbert, _bad_scalar, _relations_not_a_dict, _row_too_long, _breaks_ideal_closure],
+)
+def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
+    cache = str(tmp_path / "cache")
+    cold = invoke(["rank", "--json", "--cache", cache], doc=FLIP2)
+    (name,) = os.listdir(cache)
+    path = os.path.join(cache, name)
+    with open(path) as fh:
+        written = fh.read()
+    doc = json.loads(written)
+    corrupt(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    again = invoke(["rank", "--json", "--cache", cache], doc=FLIP2)
+    nocache = invoke(["rank", "--json"], doc=FLIP2)
+    assert again.exit_code == nocache.exit_code == cold.exit_code == 0
+    assert again.stdout == nocache.stdout
+    with open(path) as fh:
+        assert fh.read() == written
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cache_resume_rebuilds_only_the_last_stage(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    cold = invoke(["rank", "--json", "--cache", cache], doc=FLIP2)
+    steps = _count_calls(monkeypatch, tower, "step")
+    rebuilt = _count_calls(monkeypatch, cli, "_quotient_from_doc")
+    warm = invoke(["rank", "--json", "--cache", cache], doc=FLIP2)
+    assert warm.stdout == cold.stdout
+    assert steps == [] and len(rebuilt) == 1
+
+
+def test_primitives_cache_cold_and_resumed(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    args = ["primitives", "--stage", "1", "--degree", "2", "--json"]
+    nocache = invoke(args, doc=FLIP2)
+    cold = invoke(args + ["--cache", cache], doc=FLIP2)
+    assert len(os.listdir(cache)) == 1
+    steps = _count_calls(monkeypatch, tower, "step")
+    resumed = invoke(args + ["--cache", cache], doc=FLIP2)
+    assert steps == []
+    assert nocache.exit_code == cold.exit_code == resumed.exit_code == 0
+    assert cold.stdout == resumed.stdout == nocache.stdout
+
+
+def test_benchmark_tracer_selftest_passes():
+    """The benchmark tracer patches names bound in braidrank's modules; an
+    unbound name fails its self-test (which works in .perfbench_work/)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -325,39 +324,3 @@ def test_object_fallback_on_huge_entries():
     assert piv == [0, 1]
     assert red == Matrix.identity(RATIONALS, 2)
     assert (mat @ mat).entry(0, 0) == big * big + 1
-
-
-def test_numpy_lane_is_bit_identical():
-    from braidrank import _accel
-
-    data = [[3, -1, 4, 1, 5], [9, -2, 6, 5, 3], [5, 8, -9, 7, 9], [2, 0, 1, -3, 4]]
-    mat_q = Matrix.from_scalars(RATIONALS, data)
-    mat_p = Matrix.from_scalars(F7, data)
-    baseline = (rref(mat_q), kernel_basis(mat_q), rref(mat_p))
-    previous = _accel.active_lane()
-    try:
-        _accel.set_lane("numpy")
-        other = (rref(mat_q), kernel_basis(mat_q), rref(mat_p))
-    finally:
-        if previous != "numpy":
-            _accel.set_lane(previous)
-    assert baseline == other
-
-
-def test_env_flag_selects_numpy_lane():
-    import subprocess
-    import sys
-
-    code = (
-        "from braidrank import _accel\n"
-        "from braidrank import run, make_flip, RATIONALS, hilbert_series\n"
-        "assert _accel.active_lane() == 'numpy'\n"
-        "rep = run(make_flip(2, RATIONALS), 3)\n"
-        "print(rep.rank_le_cutoff, hilbert_series(rep.final))\n"
-    )
-    env = dict(os.environ, BRAIDRANK_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "1 [1, 2, 3, 4]"

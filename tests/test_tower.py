@@ -97,6 +97,29 @@ def test_run_max_iter_zero_reports_unstabilized():
     assert hilbert_series(rep.final) == [1, 2, 4, 8]
 
 
+def test_run_resumes_and_reports_each_new_stage():
+    space = diagonal_space(RATIONALS, [[-1, -1], [1, -1]])
+    full = run(space, 5)
+    assert len(full.stages) >= 2
+    seen = []
+    partial = run(space, 5, max_iter=1, on_stage=lambda q, rep: seen.append((q, rep)))
+    assert not partial.stabilized
+    assert [rep for _, rep in seen] == partial.stages == full.stages[:1]
+    seen.clear()
+    resumed = run(
+        space, 5, resume=(partial.stages, partial.final), on_stage=lambda q, rep: seen.append((q, rep))
+    )
+    assert resumed.stages == full.stages
+    assert resumed.final == full.final
+    assert resumed.rank_le_cutoff == full.rank_le_cutoff
+    assert [rep for _, rep in seen] == full.stages[1:]
+    assert seen[-1][0] == full.final
+    # a resume point that already stabilized takes no further step
+    seen.clear()
+    again = run(space, 5, resume=(full.stages, full.final), on_stage=lambda q, rep: seen.append(rep))
+    assert seen == [] and again.stages == full.stages and again.final == full.final
+
+
 def test_monotone_stabilization():
     rep = run(make_flip(2, RATIONALS), 4)
     # once iso, every later step is iso as well
