@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shuffle
-from .braiding import BraidedSpace, check_degree, invert_perm, lexmin_reduced_word
+from .braiding import BraidedSpace, check_degree
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
 from .exactlin import Matrix, Subspace, kernel_basis, vstack
 
@@ -166,67 +166,42 @@ def _tensor_flat(sub: Subspace, m: int, right_factor: bool) -> Subspace:
 def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix) -> Matrix:
     """rows @ Delta_{i,j}^T: each row is mapped through the coproduct.
 
-    Uses the cached monomial decomposition of Delta when the braiding is
-    monomial with integer coefficients; falls back to a dense product.
+    A monomial braiding scatters the integer terms of
+    :func:`braidrank.shuffle._monomial_delta`; any other braiding multiplies
+    by the dense :func:`braidrank.shuffle.delta_component`.
     """
-    ops = _delta_ops(space, i, j)
-    if ops is not None:
-        return _scatter_apply(space, rows, ops)
+    if space.is_monomial:
+        return _scatter_apply(space, rows, *shuffle._monomial_delta(space, i, j))
     return rows @ shuffle.delta_component(space, i, j).transpose()
 
 
-def _delta_ops(space: BraidedSpace, i: int, j: int):
-    """Monomial terms of Delta_{i,j} with integer coefficients, or None."""
-    key = ("ops", i, j)
-    if key in space._delta_cache:
-        return space._delta_cache[key]
-    ops = None
-    if space.is_monomial and i > 0 and j > 0:
-        words = [lexmin_reduced_word(invert_perm(w)) for w, _ in shuffle.unshuffles(i, j)]
-        raw = [shuffle._monomial_lift(space, i + j, w) for w in words]
-        ops = []
-        for tgt, coeff in raw:
-            if space.field.is_rationals:
-                if any(c.denominator != 1 for c in coeff):
-                    ops = None
-                    break
-                carr = np.array([int(c) for c in coeff], dtype=object)
-                if all(abs(int(c)) < 2**31 for c in carr):
-                    carr = carr.astype(np.int64)
-            else:
-                carr = coeff
-            ops.append((tgt, carr))
-    space._delta_cache[key] = ops
-    return ops
-
-
-def _scatter_apply(space: BraidedSpace, rows: Matrix, ops) -> Matrix:
-    """Sum over monomial terms of rows @ term^T via column scatter.
+def _scatter_apply(space: BraidedSpace, rows: Matrix, terms, den: int) -> Matrix:
+    """Sum over monomial terms of rows @ term^T / den via column scatter.
 
     Each term sends source column c to target column tgt[c] scaled by
-    coeff[c]; targets within one term never collide, so fancy-indexed
+    num[c]; targets within one term never collide, so fancy-indexed
     accumulation is exact.
     """
     field = space.field
     size = rows.cols
     m = rows.rows
     src = rows.num
-    use_obj = src.dtype == object or any(c.dtype == object for _, c in ops)
+    use_obj = src.dtype == object or any(c.dtype == object for _, c in terms)
     if field.is_rationals and not use_obj:
-        cmax = max(1, max(int(np.abs(c).max(initial=0)) for _, c in ops))
-        if int(np.abs(src).max(initial=0)) * cmax * max(1, len(ops)) >= 2**62:
+        cmax = max(1, max(int(np.abs(c).max(initial=0)) for _, c in terms))
+        if int(np.abs(src).max(initial=0)) * cmax * max(1, len(terms)) >= 2**62:
             use_obj = True
     if not field.is_rationals and field.p >= 1 << 31:
         use_obj = True
     if use_obj:
         src = src.astype(object)
     out = np.zeros((size, m), dtype=object if use_obj else np.int64)
-    for tgt, coeff in ops:
+    for tgt, coeff in terms:
         c = np.asarray(coeff, dtype=object) if use_obj else coeff
         out[np.asarray(tgt)] += (src * c[None, :]).T
         if not field.is_rationals:
             out %= field.p
-    return Matrix.build(field, out.T, rows.den)
+    return Matrix.build(field, out.T, rows.den * den)
 
 
 # ---------------------------------------------------------------------------

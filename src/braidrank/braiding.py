@@ -131,10 +131,9 @@ class BraidedSpace:
 
 
 def _detect_monomial(c: Matrix):
-    """Return (perm, coeffs) when every column of c has a single nonzero."""
+    """Row of each column's single nonzero; None unless every column has exactly one."""
     m = c.rows
     perm = np.zeros(m, dtype=np.int64)
-    coeffs = []
     num = c.num
     for j in range(m):
         col = num[:, j]
@@ -142,8 +141,7 @@ def _detect_monomial(c: Matrix):
         if nz.size != 1:
             return None
         perm[j] = int(nz[0])
-        coeffs.append(c.entry(int(nz[0]), j))
-    return perm, coeffs
+    return perm
 
 
 def _validate(field: FieldSpec, n: int, c: Matrix) -> BraidedSpace:

@@ -26,7 +26,7 @@ import click
 
 from . import bialgebra, tower
 from .bialgebra import GradedQuotient, free_truncated, hilbert_series, primitives
-from .braiding import DEGREE_CAP, BraidedSpace, make_diagonal, make_flip, make_from_matrix
+from .braiding import DEGREE_CAP, DIMENSION_CAP, BraidedSpace, make_diagonal, make_flip, make_from_matrix
 from .errors import AmbientMismatch, BraidrankError, InvalidField
 from .exactlin import FieldSpec, GF, Matrix, RATIONALS, Subspace, format_scalar
 from .nichols_oracle import compare, nichols_truncation
@@ -98,6 +98,8 @@ class JobSpec:
         n = doc.get("dimension")
         if not _is_int(n) or n < 1:
             raise ParseError("dimension must be a positive integer")
+        if n > DIMENSION_CAP:
+            raise ParseError(f"dimension must be at most {DIMENSION_CAP}")
         self.dimension = n
         br = doc.get("braiding")
         if not isinstance(br, dict) or "kind" not in br:

@@ -1,33 +1,36 @@
 """Braided shuffle coproduct components and the quantum symmetrizer.
 
 The graded coproduct component Delta_{i,j} : V^(x)(i+j) -> V^(x)i (x) V^(x)j
-is the sum, over all (i,j)-unshuffles w (permutations increasing on the
-position blocks 1..i and i+1..i+j), of the positive braid lift of w^-1.
-Summing the lifts of the inverses (rather than of the unshuffles themselves)
-is what makes the family coassociative and multiplicative as exact matrix
-identities; the property tests in the suite pin this convention down.
+is defined as the sum, over all (i,j)-unshuffles w, of the positive braid
+lift of w^-1; the property tests pin this convention down.  It is computed
+by the braided q-Pascal recursion on the last tensor slot (Rosso 1998):
 
-The quantum symmetrizer on V^(x)d is the sum of the positive lifts of all
-d! permutations; its kernels cut out the Nichols algebra relations and serve
-as the independent oracle for the quotient tower.
+    Delta_{i,j} = Delta_{i,j-1} (x) Id + c_i ... c_{d-1} (Delta_{i-1,j} (x) Id)
 
-Monomial braidings (flip, diagonal) use a fast index-permutation path; a
-general braiding falls back to dense lift assembly, which is fine at the
-small sizes where raw braidings are used.
+with d = i + j, Delta_{i,0} = Delta_{0,j} = Id, and c_{d-1} acting first.
+A monomial braiding (flip, diagonal) keeps Delta_{i,j} as C(d, i) integer
+terms (targets, numerators) over one denominator; any other braiding keeps
+a dense matrix.
+
+The quantum symmetrizer S_d, the sum of the positive lifts of all of S_d,
+is the independent oracle for the tower.  It is built from the reference
+generators of :mod:`braidrank.braiding` by the factorization
+S_d = (S_{d-1} (x) Id) T_d, T_d = Id + c_{d-1}(Id + c_{d-2}(... (Id + c_1)))
+(Flores de Chela-Green 2001), so it shares no code with the recursion.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations, permutations
-from math import gcd
+from itertools import combinations
 
 import numpy as np
 
+from ._accel import _maxabs
 from .braiding import (
     BraidedSpace,
+    braid_generator,
+    braid_word,
     check_degree,
-    invert_perm,
     lexmin_reduced_word,
 )
 from .errors import DegreeCap
@@ -59,87 +62,81 @@ def unshuffles(i: int, j: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 
 
+def _times(a: np.ndarray, b, field: FieldSpec) -> np.ndarray:
+    """Exact elementwise product of integer arrays, object dtype if int64 could wrap."""
+    b = np.asarray(b)
+    if a.dtype == object or b.dtype == object or _maxabs(a) * _maxabs(b) >= 2**63:
+        a, b = a.astype(object), b.astype(object)
+    return a * b if field.is_rationals else a * b % field.p
+
+
 def _monomial_lift(space: BraidedSpace, d: int, word):
-    """Lift of a braid word as (targets, coefficients) on V^(x)d."""
+    """Lift of a braid word on V^(x)d: index t goes to num[t] / c.den**len(word) at tgt[t]."""
     n = space.n
     size = n**d
-    cperm, ccoeff = space._monomial
-    prime = not space.field.is_rationals
-    if prime:
-        ctab = np.array([c % space.field.p for c in ccoeff], dtype=object)
-        if space.field.p < 1 << 31:
-            ctab = ctab.astype(np.int64)
-        coeff = np.ones(size, dtype=ctab.dtype)
-    else:
-        ctab = np.array([Fraction(c) for c in ccoeff], dtype=object)
-        coeff = np.array([Fraction(1)] * size, dtype=object)
-    tgt = np.arange(size, dtype=np.int64)
     nsq = n * n
+    perm = space._monomial
+    cnum = space.c.num[perm, np.arange(nsq)]
+    tgt = np.arange(size, dtype=np.int64)
+    num = np.ones(size, dtype=np.int64)
     for k in reversed(list(word)):
         base = n ** (d - k - 1)
         pairs = (tgt // base) % nsq
-        tgt = tgt + (cperm[pairs] - pairs) * base
-        coeff = coeff * ctab[pairs]
-        if prime:
-            coeff = coeff % space.field.p
-    return tgt, coeff
+        tgt = tgt + (perm[pairs] - pairs) * base
+        num = _times(num, cnum[pairs], space.field)
+    return tgt, num
 
 
 def _dense_lift(space: BraidedSpace, d: int, word) -> Matrix:
-    """Dense lift via axis contraction; used for non-monomial braidings."""
+    """Dense lift of a braid word, one I (x) c (x) I factor at a time."""
     n = space.n
-    size = n**d
-    out = Matrix.identity(space.field, size)
+    out = Matrix.identity(space.field, n**d)
     for k in reversed(list(word)):
-        left = n ** (k - 1)
-        arr = out.num.reshape(left, n * n, -1)
-        cnum = space.c.num
-        if arr.dtype != object and cnum.dtype != object:
-            bound = int(np.abs(cnum).max(initial=0)) * int(np.abs(arr).max(initial=0)) * n * n
-            if bound >= 2**63:
-                arr = arr.astype(object)
-        if arr.dtype == object or cnum.dtype == object:
-            arr = arr.astype(object)
-            cnum = cnum.astype(object)
-        new = np.tensordot(cnum, arr, axes=([1], [1]))
-        new = np.moveaxis(new, 0, 1).reshape(size, size)
-        out = Matrix.build(space.field, new, out.den * space.c.den)
+        left = Matrix.identity(space.field, n ** (k - 1))
+        right = Matrix.identity(space.field, n ** (d - k - 1))
+        out = left.kron(space.c).kron(right) @ out
     return out
 
 
-def _assemble_monomial_sum(space: BraidedSpace, d: int, ops) -> Matrix:
-    """Sum monomial lifts into a dense matrix (sparse accumulation)."""
-    field = space.field
+def _monomial_delta(space: BraidedSpace, i: int, j: int):
+    """Delta_{i,j} of a monomial braiding as ``(terms, den)``, cached.
+
+    Term ``(tgt, num)`` sends basis index t to num[t] / den at tgt[t], and
+    Delta_{i,j} is the sum of its C(i+j, i) terms; den = c.den**(i*j).
+    """
+    out = space._delta_cache.get((i, j))
+    if out is not None:
+        return out
+    n, d = space.n, i + j
+    if i == 0 or j == 0:
+        out = [(np.arange(n**d), np.ones(n**d, dtype=np.int64))], 1
+    else:
+        # (x) Id on the last slot, then Id scaled by c.den**i or the chain
+        # (which carries c.den**j): both parts come to den c.den**(i*j)
+        left = _monomial_delta(space, i, j - 1)[0]
+        right = _monomial_delta(space, i - 1, j)[0]
+        ident = np.arange(n**d), _times(np.ones(n**d, dtype=np.int64), space.c.den**i, space.field)
+        chain = _monomial_lift(space, d, range(i, d))
+        terms = []
+        for part, (ctgt, cnum) in ((left, ident), (right, chain)):
+            for tgt, num in part:
+                tgt = (tgt[:, None] * n + np.arange(n)).ravel()
+                terms.append((ctgt[tgt], _times(np.repeat(num, n), cnum[tgt], space.field)))
+        out = terms, space.c.den ** (i * j)
+    space._delta_cache[(i, j)] = out
+    return out
+
+
+def _assemble_monomial_sum(space: BraidedSpace, d: int, terms, den: int) -> Matrix:
+    """Dense matrix of a sum of monomial terms over the denominator ``den``."""
     size = space.n**d
-    acc: dict[tuple[int, int], Scalar] = {}
-    for tgt, coeff in ops:
-        for t in range(size):
-            key = (int(tgt[t]), t)
-            v = acc.get(key)
-            acc[key] = coeff[t] if v is None else v + coeff[t]
-    if field.is_rationals:
-        den = 1
-        for v in acc.values():
-            dv = v.denominator
-            den = den // gcd(den, dv) * dv
-        num = np.zeros((size, size), dtype=object)
-        for (r, c), v in acc.items():
-            num[r, c] = v.numerator * (den // v.denominator)
-        return Matrix.build(field, num, int(den))
-    num = np.zeros((size, size), dtype=object)
-    for (r, c), v in acc.items():
-        num[r, c] = int(v) % field.p
-    return Matrix.build(field, num)
-
-
-def _lift_sum(space: BraidedSpace, d: int, words) -> Matrix:
-    if space.is_monomial:
-        ops = [_monomial_lift(space, d, w) for w in words]
-        return _assemble_monomial_sum(space, d, ops)
-    total = Matrix.zeros(space.field, space.n**d, space.n**d)
-    for w in words:
-        total = total + _dense_lift(space, d, w)
-    return total
+    exact = any(num.dtype == object for _, num in terms)
+    if not exact and max(_maxabs(num) for _, num in terms) * len(terms) >= 2**63:
+        exact = True
+    out = np.zeros((size, size), dtype=object if exact else np.int64)
+    for tgt, num in terms:
+        out[tgt, np.arange(size)] += num
+    return Matrix.build(space.field, out, den)
 
 
 def delta_component(space: BraidedSpace, i: int, j: int) -> Matrix:
@@ -149,18 +146,20 @@ def delta_component(space: BraidedSpace, i: int, j: int) -> Matrix:
     V^(x)i (x) V^(x)j is indexed by the shared big-endian convention, so the
     matrix is square of size n^(i+j).
     """
-    key = (i, j)
-    cached = space._delta_cache.get(key)
-    if cached is not None:
-        return cached
+    if i < 0 or j < 0:
+        raise DegreeCap("degrees must be nonnegative")
     d = i + j
     check_degree(d)
-    if i == 0 or j == 0:
+    if space.is_monomial:
+        return _assemble_monomial_sum(space, d, *_monomial_delta(space, i, j))
+    out = space._delta_cache.get((i, j))
+    if out is None:
         out = Matrix.identity(space.field, space.n**d)
-    else:
-        words = [lexmin_reduced_word(invert_perm(w)) for w, _ in unshuffles(i, j)]
-        out = _lift_sum(space, d, words)
-    space._delta_cache[key] = out
+        if i and j:
+            eye = Matrix.identity(space.field, space.n)
+            moved = _dense_lift(space, d, range(i, d)) @ delta_component(space, i - 1, j).kron(eye)
+            out = delta_component(space, i, j - 1).kron(eye) + moved
+        space._delta_cache[(i, j)] = out
     return out
 
 
@@ -170,20 +169,19 @@ def symmetrizer(space: BraidedSpace, d: int) -> Matrix:
     if cached is not None:
         return cached
     check_degree(d)
-    words = [lexmin_reduced_word(w) for w in permutations(range(d))]
-    out = _lift_sum(space, d, words)
+    out = eye = Matrix.identity(space.field, space.n**d)
+    if d > 0:
+        for k in range(1, d):
+            out = eye + braid_generator(space, d, k) @ out
+        out = symmetrizer(space, d - 1).kron(Matrix.identity(space.field, space.n)) @ out
     space._sym_cache[d] = out
     return out
 
 
 def block_transposition(space: BraidedSpace, a: int, b: int) -> Matrix:
     """Positive braid lift of the block swap V^(x)a (x) V^(x)b -> V^(x)b (x) V^(x)a."""
-    d = a + b
-    check_degree(d)
     perm = tuple(t + b for t in range(a)) + tuple(range(b))
-    if space.is_monomial:
-        return _lift_sum(space, d, [lexmin_reduced_word(perm)])
-    return _dense_lift(space, d, lexmin_reduced_word(perm))
+    return braid_word(space, a + b, lexmin_reduced_word(perm))
 
 
 def gaussian_binomial(d: int, i: int, q: Scalar, field: FieldSpec) -> Scalar:

@@ -162,6 +162,8 @@ def test_scatter_application_matches_dense_product():
     cases = [
         make_flip(2, RATIONALS),
         make_flip(2, GF(3)),
+        diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
+        diagonal_space(GF(7), [[2, 3], [4, 5]]),
     ]
     for space in cases:
         for (i, j) in [(1, 1), (1, 2), (2, 1), (2, 2)]:

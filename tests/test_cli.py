@@ -274,6 +274,7 @@ def test_nonprime_field_exits_2():
     "field, value",
     [
         ("dimension", True),
+        ("dimension", 9),
         ("degree_cutoff", True),
         ("degree_cutoff", 13),
         ("max_iter", True),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,10 +15,11 @@ from braidrank import (
     delta_component,
     gaussian_binomial,
     make_flip,
+    make_from_matrix,
     symmetrizer,
     unshuffles,
 )
-from braidrank.braiding import braid_word, inversions
+from braidrank.braiding import braid_word, inversions, invert_perm, lexmin_reduced_word
 from braidrank.shuffle import block_transposition
 
 from conftest import diagonal_space
@@ -30,6 +31,13 @@ TEST_SPACES = [
     diagonal_space(RATIONALS, [[-1]]),
     diagonal_space(GF(7), [[2, 3], [4, 5]]),
 ]
+
+# the Jordan braiding: validated, but not monomial
+JORDAN = make_from_matrix(
+    2,
+    RATIONALS,
+    Matrix.from_scalars(RATIONALS, [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]),
+)
 
 
 def eye(space, m):
@@ -110,6 +118,34 @@ def test_delta_coefficient_is_gaussian_binomial(qval, field):
             assert coeff == gaussian_binomial(d, i, qval, field)
 
 
+def test_recursion_and_factorization_match_definitions():
+    # Delta by the q-Pascal recursion and S_d by the factorization, against
+    # the defining sums of braid_word lifts over unshuffles and over S_d
+    spaces = [
+        make_flip(2, RATIONALS),
+        diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
+        diagonal_space(GF(7), [[2, 3], [4, 5]]),
+        JORDAN,
+    ]
+    assert not JORDAN.is_monomial
+    for space in spaces:
+        for d in range(1, 6):
+            zero = Matrix.zeros(space.field, space.n**d, space.n**d)
+            for i in range(d + 1):
+                total = zero
+                for w, _ in unshuffles(i, d - i):
+                    total = total + braid_word(space, d, lexmin_reduced_word(invert_perm(w)))
+                assert delta_component(space, i, d - i) == total, (space, i, d)
+            total = zero
+            for w in permutations(range(d)):
+                total = total + braid_word(space, d, lexmin_reduced_word(w))
+            assert symmetrizer(space, d) == total, (space, d)
+    with pytest.raises(DegreeCap):
+        delta_component(spaces[0], -1, 2)
+    with pytest.raises(DegreeCap):
+        delta_component(spaces[0], 6, 7)
+
+
 def coassoc_holds(space, i, j, k):
     lhs = delta_component(space, i, j).kron(eye(space, k)) @ delta_component(space, i + j, k)
     rhs = eye(space, i).kron(delta_component(space, j, k)) @ delta_component(space, i, j + k)
@@ -176,10 +212,8 @@ def test_symmetrizer_flip_fixes_symmetric_line():
 
 
 def test_symmetrizer_dense_path_matches_monomial_path():
-    # the same braiding fed through make_from_matrix with a non-monomial
-    # disguise is impossible; instead compare a small dense braiding against
-    # term-by-term assembly
-    space = diagonal_space(GF(7), [[2, 3], [4, 5]])
+    # a dense (non-monomial) braiding against term-by-term assembly
+    space = JORDAN
     sym = symmetrizer(space, 2)
     assert sym == eye(space, 2) + space.c
 
