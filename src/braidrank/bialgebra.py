@@ -13,8 +13,12 @@ is a hard error: the tower construction guarantees both, so a violation
 flags an implementation bug (it also tripwires the coproduct convention).
 
 Quotient spaces are represented canonically: the monomial basis of degree d
-is indexed by the non-pivot columns of rref(R_d), and reduction modulo R_d
-is the canonical section onto that basis.
+is indexed by the non-pivot columns N of rref(R_d), and the projection
+pi_d : V^(x)d -> Q_d = V^(x)d / R_d is x |-> x[N] - x[P] B[:, N], with B
+the rref basis and P its pivots.  The mixing space
+R_i (x) V^(x)j + V^(x)i (x) R_j is exactly the kernel of pi_i (x) pi_j, so
+the coideal re-check and the primitive kernels test membership by
+projecting onto Q_i (x) Q_j; the mixing space itself is never built.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class GradedQuotient:
     coproduct does not descend and the primitive computation refuses them.
     """
 
-    __slots__ = ("space", "cutoff", "coideal_holds", "_relations", "_mix_cache", "_prim_cache")
+    __slots__ = ("space", "cutoff", "coideal_holds", "_relations", "_prim_cache")
 
     def __init__(self, space: BraidedSpace, cutoff: int, relations, _validated=False):
         if not _validated:
@@ -70,7 +74,6 @@ class GradedQuotient:
         self.cutoff = cutoff
         self.coideal_holds = True
         self._relations = tuple(relations)
-        self._mix_cache: dict[tuple[int, int], Subspace] = {}
         self._prim_cache: dict[int, PrimitiveReport] = {}
 
     # -- structure ----------------------------------------------------------
@@ -99,9 +102,34 @@ class GradedQuotient:
         return Matrix.build(self.space.field, num)
 
     def reduce_to_coords(self, d: int, rows: Matrix) -> Matrix:
-        """Reduce rows modulo R_d, then keep the quotient coordinates."""
-        red = self.relation(d).reduce_rows(rows)
-        return red.take_columns(self.quotient_columns(d))
+        """pi_d of each row: its coordinates in the canonical basis of Q_d.
+
+        Only the non-pivot block x[N] - x[P] B[:, N] is computed; a row maps
+        to zero exactly when it lies in R_d.
+        """
+        rel = self.relation(d)
+        if rows.cols != rel.ambient_dim:
+            raise AmbientMismatch(f"vector length {rows.cols} vs ambient {rel.ambient_dim}")
+        if rel.dim == 0:
+            return rows
+        cols = self.quotient_columns(d)
+        return rows.take_columns(cols) - rows.take_columns(rel.pivots) @ rel.basis.take_columns(cols)
+
+    def tensor_coords(self, i: int, j: int, rows: Matrix) -> Matrix:
+        """(pi_i (x) pi_j) of each row of V^(x)(i+j), flattened Q_j-major.
+
+        A row maps to zero exactly when it lies in :meth:`mixing_space`.
+        The rows are reshaped to (m n^i, n^j) and reduced by R_j, then the
+        Q_j axis moves to the front and the rows are reduced by R_i.
+        """
+        n, m, field = self.space.n, rows.rows, rows.field
+        if rows.cols != n ** (i + j):
+            raise AmbientMismatch(f"vector length {rows.cols} vs ambient {n ** (i + j)}")
+        right = self.reduce_to_coords(j, Matrix.build(field, rows.num.reshape(m * n**i, n**j), rows.den))
+        qj = right.cols
+        swapped = right.num.reshape(m, n**i, qj).transpose(0, 2, 1).reshape(m * qj, n**i)
+        left = self.reduce_to_coords(i, Matrix.build(field, swapped, right.den))
+        return Matrix.build(field, left.num.reshape(m, qj * left.cols), left.den)
 
     @property
     def total_dim(self) -> int:
@@ -112,21 +140,15 @@ class GradedQuotient:
         return sum(self.qdim(k) for k in range(d))
 
     def mixing_space(self, i: int, j: int) -> Subspace:
-        """R_i (x) V^(x)j + V^(x)i (x) R_j inside V^(x)(i+j), cached."""
-        key = (i, j)
-        out = self._mix_cache.get(key)
-        if out is None:
-            n = self.space.n
-            left = _tensor_flat(self.relation(i), n**j, right_factor=True)
-            right = _tensor_flat(self.relation(j), n**i, right_factor=False)
-            if left.dim == 0:
-                out = right
-            elif right.dim == 0:
-                out = left
-            else:
-                out = left.sum(right)
-            self._mix_cache[key] = out
-        return out
+        """R_i (x) V^(x)j + V^(x)i (x) R_j inside V^(x)(i+j).
+
+        The engine tests membership through :meth:`tensor_coords` instead;
+        this explicit construction is the reference it is checked against.
+        """
+        n = self.space.n
+        left = _tensor_flat(self.relation(i), n**j, right_factor=True)
+        right = _tensor_flat(self.relation(j), n**i, right_factor=False)
+        return left.sum(right)
 
     def __eq__(self, other):
         if not isinstance(other, GradedQuotient):
@@ -217,15 +239,13 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
     otherwise recorded on the quotient, so that directly saturated non-
     primitive generators still yield a usable graded algebra quotient.
     """
-    n = q.space.n
+    eye = Matrix.identity(q.space.field, q.space.n)
     for d in range(1, q.cutoff):
         rel = q.relation(d)
         if rel.dim == 0:
             continue
-        eye = Matrix.identity(q.space.field, n)
-        expanded = [rel.basis.kron(eye), eye.kron(rel.basis)]
-        for mat in expanded:
-            if not q.relation(d + 1).contains_rows(mat):
+        for mat in (rel.basis.kron(eye), eye.kron(rel.basis)):
+            if not q.reduce_to_coords(d + 1, mat).is_zero():
                 raise BialgebraInvariantError(
                     f"ideal closure fails from degree {d} to {d + 1}"
                 )
@@ -235,7 +255,7 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
             continue
         for i in range(1, d):
             img = _apply_delta_rows(q.space, i, d - i, rel.basis)
-            if not q.mixing_space(i, d - i).contains_rows(img):
+            if not q.tensor_coords(i, d - i, img).is_zero():
                 if require_coideal:
                     raise BialgebraInvariantError(
                         f"coideal property fails at degree {d}, split ({i},{d - i})"
@@ -299,7 +319,7 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
     """Representatives of the primitives of the quotient in degree d.
 
     An element is primitive when every mixed coproduct component vanishes in
-    the quotient, i.e. Delta_{i,d-i}(x) lies in the mixing space for every
+    the quotient, i.e. (pi_i (x) pi_{d-i}) Delta_{i,d-i}(x) = 0 for every
     0 < i < d; the kernel intersection is taken exactly and then reduced
     modulo R_d.  Degree 1 returns a complement of R_1 (all of V in a tower).
     """
@@ -318,11 +338,10 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
     for i in range(1, d):
         if kern.dim == 0:
             break
-        images = _apply_delta_rows(space, i, d - i, kern.basis)
-        reduced = q.mixing_space(i, d - i).reduce_rows(images)
-        if reduced.is_zero():
+        images = q.tensor_coords(i, d - i, _apply_delta_rows(space, i, d - i, kern.basis))
+        if images.is_zero():
             continue
-        coeffs = kernel_basis(reduced.transpose())
+        coeffs = kernel_basis(images.transpose())
         if coeffs.dim == 0:
             kern = Subspace.zero(space.field, size)
             break

@@ -5,8 +5,9 @@ as strings ("3/7", "-1", residues as decimals); floating point field entries
 are rejected by construction.  Reports go to stdout (human table by default,
 the machine-readable document with --json); diagnostics go to stderr.
 
-Exit codes: 0 ok, 1 braiding validation failure, 2 parse error,
-3 tower not stabilized within max_iter (a report is still written).
+Exit codes: 0 ok, 1 braiding validation failure, 2 parse error or an
+unusable --cache / --report path, 3 tower not stabilized within max_iter
+(a report is still written).
 
 The optional cache directory stores per-stage relation bases keyed by a
 stable hash of (field, braiding entries, cutoff).  It is a thin layer over
@@ -21,8 +22,10 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 import click
+import numpy as np
 
 from . import bialgebra, tower
 from .bialgebra import GradedQuotient, free_truncated, hilbert_series, primitives
@@ -172,16 +175,29 @@ def dumps_report(doc: dict) -> str:
 
 
 def _subspace_doc(sub: Subspace, field) -> list:
-    return [[format_scalar(v, field) for v in row] for row in sub.basis.scalar_rows()]
+    # a basis has few distinct entries: format each distinct numerator once
+    mat = sub.basis
+    values, where = np.unique(mat.num, return_inverse=True)
+    text = np.array(
+        [format_scalar(Fraction(int(v), mat.den) if field.is_rationals else int(v), field) for v in values],
+        dtype=object,
+    )
+    return text[where].reshape(mat.shape).tolist()
 
 
 def _subspace_from_doc(field, ambient, rows) -> Subspace:
     if not rows:
         return Subspace.zero(field, ambient)
-    mat = Matrix.from_scalars(field, rows)
-    if mat.cols != ambient:
-        raise AmbientMismatch(f"relation rows of length {mat.cols} in V^(x)d of dimension {ambient}")
-    return Subspace.from_rows(mat)
+    if not all(isinstance(row, list) and len(row) == ambient for row in rows):
+        raise AmbientMismatch(f"relation rows must be lists of length {ambient}, the dimension of V^(x)d")
+    texts = [x for row in rows for x in row]
+    if not all(isinstance(x, str) for x in texts):
+        raise ValueError("relation entries must be scalar strings")
+    # parse each distinct string once, over one common denominator
+    distinct, where = np.unique(np.array(texts), return_inverse=True)
+    values = Matrix.from_scalars(field, [distinct.tolist()])
+    num = values.num[0][where].reshape(len(rows), ambient)
+    return Subspace.from_rows(Matrix.build(field, num, values.den))
 
 
 def _quotient_relations_doc(q: GradedQuotient) -> dict:
@@ -223,7 +239,11 @@ def _atomic_write(path: str, text: str):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 def _stage_from_doc(k, doc) -> StageReport:
@@ -307,7 +327,10 @@ def _run_tower_cached(
     """Tower run with optional cache: exact hits are served, partials resumed."""
     if not cache_dir:
         return tower.run(space, spec.cutoff, max_iter)
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        _fail_output(exc)
     cache = _StageCache(os.path.join(cache_dir, _cache_key(spec, space) + ".json"))
     report = tower.run(
         space,
@@ -316,7 +339,10 @@ def _run_tower_cached(
         resume=cache.resume_point(space, spec.cutoff, max_iter),
         on_stage=cache.record,
     )
-    cache.save(report, max_iter)
+    try:
+        cache.save(report, max_iter)
+    except OSError as exc:
+        _fail_output(exc)
     return report
 
 
@@ -398,6 +424,12 @@ def _fail_parse(exc) -> "NoReturn":
     sys.exit(2)
 
 
+def _fail_output(exc: OSError) -> "NoReturn":
+    """An unusable --cache or --report path: exit 2, like a parse error."""
+    click.echo(f"cannot write output: {exc}", err=True)
+    sys.exit(2)
+
+
 def _load_job(input_path, cutoff, max_iter, oracle=None, check_options=None):
     """The job spec and its validated braided space, or exit 2 / exit 1.
 
@@ -453,7 +485,10 @@ def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
     doc = rank_report_doc(rep)
     text = dumps_report(doc)
     if report_path:
-        _atomic_write(report_path, text)
+        try:
+            _atomic_write(report_path, text)
+        except OSError as exc:
+            _fail_output(exc)
     if as_json:
         click.echo(text, nl=False)
     else:

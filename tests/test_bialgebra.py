@@ -19,10 +19,13 @@ from braidrank import (
     hilbert_series,
     ideal_saturate,
     make_flip,
+    make_from_matrix,
     omega_projection,
     primitives,
 )
 from braidrank.bialgebra import GradedQuotient, _validate_quotient
+from braidrank.exactlin import kernel_basis, vstack
+from braidrank.tower import run
 
 from conftest import diagonal_space, sym_dim, witt
 
@@ -151,6 +154,45 @@ def test_primitives_respect_mixed_component_condition():
         for i in range(1, d):
             img = _apply_delta_rows(space, i, d - i, rep.subspace.basis)
             assert q.mixing_space(i, d - i).contains_rows(img)
+
+
+def _tower_quotients(space, cutoff):
+    """The free object and every stage of its quotient tower."""
+    stages = [free_truncated(space, cutoff)]
+    run(space, cutoff, cutoff, on_stage=lambda q, rep: stages.append(q))
+    return stages
+
+
+def test_tensor_coords_kernel_is_the_mixing_space():
+    # pi_i (x) pi_j maps a row to zero exactly when the row lies in
+    # R_i (x) V^(x)j + V^(x)i (x) R_j, the explicitly built reference.
+    # The A2 pair (5/2, -2/5) at D=7 takes the object-dtype product path.
+    from braidrank.bialgebra import _apply_delta_rows
+
+    a2 = diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]])
+    jordan = make_from_matrix(
+        2, RATIONALS, Matrix.from_scalars(RATIONALS, [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]])
+    )
+    cases = [
+        (make_flip(2, RATIONALS), 5),
+        (make_flip(3, RATIONALS), 4),
+        (a2, 7),
+        (diagonal_space(GF(7), [[2, 3], [4, 5]]), 5),
+        (jordan, 5),
+    ]
+    for space, cutoff in cases:
+        for q in _tower_quotients(space, cutoff):
+            for d in range(2, cutoff + 1):
+                for i in range(1, d):
+                    mixing = q.mixing_space(i, d - i)
+                    images = _apply_delta_rows(space, i, d - i, Matrix.identity(space.field, space.n**d))
+                    rows = vstack([images, mixing.basis]) if mixing.dim else images
+                    projected_zero = ~(q.tensor_coords(i, d - i, rows).num != 0).any(axis=1)
+                    inside = ~(mixing.reduce_rows(rows).num != 0).any(axis=1)
+                    assert projected_zero.tolist() == inside.tolist(), (space, d, i)
+                    projected = kernel_basis(q.tensor_coords(i, d - i, images).transpose())
+                    reference = kernel_basis(mixing.reduce_rows(images).transpose())
+                    assert projected == reference, (space, d, i)
 
 
 def test_scatter_application_matches_dense_product():

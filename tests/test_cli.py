@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from braidrank import cli, tower
+from braidrank import RATIONALS, Matrix, Subspace, cli, free_truncated, ideal_saturate, make_flip, tower
 from braidrank.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -310,9 +310,26 @@ def _breaks_ideal_closure(doc):
     doc["stage_relations"][-1]["3"] = []
 
 
+def _breaks_only_the_coideal(doc):
+    # the monomial ideal of e01 is ideal-closed, but Delta(e01) = e01 + e10
+    # leaves R_1 (x) V + V (x) R_1 = 0, so only the coideal re-check fails
+    space = make_flip(2, RATIONALS)
+    e01 = Subspace.from_rows(Matrix.from_scalars(RATIONALS, [[0, 1, 0, 0]]))
+    q = ideal_saturate(free_truncated(space, FLIP2["degree_cutoff"]), [(2, e01)])
+    assert q.coideal_holds is False
+    doc["stage_relations"][-1] = cli._quotient_relations_doc(q)
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_hilbert, _bad_scalar, _relations_not_a_dict, _row_too_long, _breaks_ideal_closure],
+    [
+        _drop_hilbert,
+        _bad_scalar,
+        _relations_not_a_dict,
+        _row_too_long,
+        _breaks_ideal_closure,
+        _breaks_only_the_coideal,
+    ],
 )
 def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     cache = str(tmp_path / "cache")
@@ -331,6 +348,41 @@ def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     assert again.stdout == nocache.stdout
     with open(path) as fh:
         assert fh.read() == written
+
+
+def _cache_is_a_file(tmp_path):
+    path = tmp_path / "cache"
+    path.write_text("")
+    return ["--cache", str(path)]
+
+
+def _report_in_missing_dir(tmp_path):
+    return ["--report", str(tmp_path / "missing" / "report.json")]
+
+
+def _report_is_a_directory(tmp_path):
+    (tmp_path / "report.json").mkdir()
+    return ["--report", str(tmp_path / "report.json")]
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        ("rank", _cache_is_a_file),
+        ("nichols", _cache_is_a_file),
+        ("primitives", _cache_is_a_file),
+        ("rank", _report_in_missing_dir),
+        ("rank", _report_is_a_directory),
+    ],
+)
+def test_unusable_output_path_exits_2(tmp_path, command, output):
+    extra = ["--degree", "2"] if command == "primitives" else []
+    res = invoke([command, "--json", *extra, *output(tmp_path)], doc=FLIP2)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write output:")
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def _count_calls(monkeypatch, module, name):
