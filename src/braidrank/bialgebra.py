@@ -30,7 +30,7 @@ import numpy as np
 from . import shuffle
 from .braiding import BraidedSpace, check_degree
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
-from .exactlin import Matrix, Subspace, kernel_basis, vstack
+from .exactlin import Matrix, Subspace, hstack, kernel_basis, vstack
 
 __all__ = [
     "GradedQuotient",
@@ -97,8 +97,7 @@ class GradedQuotient:
         """Canonical section: quotient coordinates -> representative in V^(x)d."""
         cols = self.quotient_columns(d)
         num = np.zeros((self.space.n**d, len(cols)), dtype=np.int64)
-        for t, c in enumerate(cols):
-            num[c, t] = 1
+        num[cols, range(len(cols))] = 1
         return Matrix.build(self.space.field, num)
 
     def reduce_to_coords(self, d: int, rows: Matrix) -> Matrix:
@@ -376,13 +375,9 @@ def omega_projection(q: GradedQuotient) -> Matrix:
     Columns are indexed by the quotient monomial bases, degree-major from 0
     to D.  Composed with the degree-1 inclusion it is the identity on V.
     """
-    n = q.space.n
-    total = q.total_dim
-    num = np.zeros((n, total), dtype=np.int64)
-    off = q.offset(1)
     sec = q.section(1)
-    num[:, off : off + q.qdim(1)] = sec.num
-    return Matrix.build(q.space.field, num, sec.den)
+    left, right = (Matrix.zeros(q.space.field, q.space.n, k) for k in (q.offset(1), q.total_dim - q.offset(2)))
+    return hstack([left, sec, right])
 
 
 def augmentation_split(q: GradedQuotient) -> tuple[Matrix, Matrix]:
@@ -394,11 +389,5 @@ def augmentation_split(q: GradedQuotient) -> tuple[Matrix, Matrix]:
     tau o zeta = Id holds on the nose.
     """
     total = q.total_dim
-    field = q.space.field
-    znum = np.zeros((total, total - 1), dtype=np.int64)
-    for k in range(total - 1):
-        znum[k + 1, k] = 1
-    tnum = np.zeros((total - 1, total), dtype=np.int64)
-    for k in range(total - 1):
-        tnum[k, k + 1] = 1
-    return Matrix.build(field, znum), Matrix.build(field, tnum)
+    zeta = Matrix.build(q.space.field, np.eye(total, total - 1, k=-1, dtype=np.int64))
+    return zeta, zeta.transpose()

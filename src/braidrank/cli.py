@@ -246,6 +246,25 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _claim_output(path: str):
+    """Exit 2 before any computation when writing ``path`` would fail.
+
+    The probe creates the same ``.tmp`` file as :func:`_atomic_write` and,
+    when ``path`` names a directory, tries the same rename, so a missing
+    directory or a directory path fails with the message of the final write.
+    """
+    tmp = path + ".tmp"
+    try:
+        open(tmp, "w").close()
+        try:
+            if os.path.isdir(path):
+                os.replace(tmp, path)
+        finally:
+            os.remove(tmp)
+    except OSError as exc:
+        _fail_output(exc)
+
+
 def _stage_from_doc(k, doc) -> StageReport:
     hilbert, dims, iso = doc["hilbert"], doc["new_relation_dims"], doc["iso"]
     if not (_int_list(hilbert) and _int_list(dims) and isinstance(iso, bool)):
@@ -479,6 +498,8 @@ def check(input_path, cutoff, max_iter, cache_dir, as_json):
 def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
     """Run the quotient tower and report the rank visible below the cutoff."""
     spec, space = _load_job(input_path, cutoff, max_iter, oracle)
+    if report_path:
+        _claim_output(report_path)
     rep = _run_tower_cached(spec, space, cache_dir, spec.max_iter)
     if spec.oracle and rep.stabilized:
         rep.oracle_match = compare(rep.final, nichols_truncation(space, spec.cutoff))
@@ -547,10 +568,7 @@ def primitives_cmd(input_path, cutoff, max_iter, cache_dir, as_json, stage, degr
             "stage": stage,
             "degree": degree,
             "dimension": sub.dim,
-            "vectors": [
-                [format_scalar(v, space.field) for v in row]
-                for row in sub.basis.scalar_rows()
-            ],
+            "vectors": _subspace_doc(sub, space.field),
         }
         click.echo(dumps_report(doc), nl=False)
     else:

@@ -508,16 +508,14 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 def kernel_basis(mat: Matrix) -> Subspace:
     """The subspace {x : M x = 0}, of dimension cols - rank."""
     red, pivots = mat.rref()
-    free = [c for c in range(mat.cols) if c not in set(pivots)]
+    free = np.delete(np.arange(mat.cols), pivots)
     field = mat.field
-    if not free:
+    if not free.size:
         return Subspace.zero(field, mat.cols)
-    num = np.zeros((len(free), mat.cols), dtype=object)
-    rnum = red.num
-    for k, f in enumerate(free):
-        num[k, f] = red.den
-        for r, pc in enumerate(pivots):
-            num[k, pc] = -(int(rnum[r, f]) if rnum.dtype != object else rnum[r, f])
+    # row k: den at free column free[k], minus column free[k] of rref at the pivots
+    num = np.zeros((free.size, mat.cols), dtype=object)
+    num[range(free.size), free] = red.den
+    num[:, list(pivots)] = -red.num[: len(pivots), free].T
     vectors = Matrix.build(field, num, red.den if field.is_rationals else 1)
     return Subspace.from_rows(vectors)
 

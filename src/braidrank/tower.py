@@ -16,9 +16,9 @@ tiny sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, product
 from typing import Callable
-
-import numpy as np
 
 from .bialgebra import (
     GradedQuotient,
@@ -29,7 +29,7 @@ from .bialgebra import (
 )
 from .braiding import BraidedSpace, make_from_matrix
 from .errors import BialgebraInvariantError, DimensionMismatch, EnvelopeExceeded
-from .exactlin import Matrix, Subspace
+from .exactlin import Matrix, hstack, vstack
 from .shuffle import block_transposition
 
 __all__ = [
@@ -152,36 +152,77 @@ def run(
 
 
 class _PrimitiveSpace:
-    """Representatives of all primitives of a quotient, degree-major."""
+    """W = P_1 + ... + P_D: the primitive representatives of a quotient.
+
+    ``blocks[d - 1]`` is P_d inside V^(x)d.  W-coordinates are degree-major:
+    the coordinates of P_d start at ``offsets[d - 1]``, and ``degrees`` holds
+    the degree of each of the ``total`` coordinates.
+    """
 
     def __init__(self, q: GradedQuotient):
         self.quotient = q
-        self.reports = [primitives(q, d) for d in range(1, q.cutoff + 1)]
-        self.dims = [r.subspace.dim for r in self.reports]
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).tolist()
-        self.total = int(self.offsets[-1])
+        self.field = q.space.field
+        self.blocks = [primitives(q, d).subspace for d in range(1, q.cutoff + 1)]
+        self.offsets = list(accumulate((b.dim for b in self.blocks), initial=0))
+        self.total = self.offsets[-1]
+        self.degrees = [d for d, b in enumerate(self.blocks, 1) for _ in range(b.dim)]
+
+    def _place(self, d: int, mat: Matrix) -> Matrix:
+        """P_d-coordinate columns widened to W-coordinates by zero blocks."""
+        lo, hi = self.offsets[d - 1], self.offsets[d]
+        left, right = (Matrix.zeros(self.field, mat.rows, k) for k in (lo, self.total - hi))
+        return hstack([left, mat, right])
+
+    def coords(self, d: int, rows: Matrix) -> Matrix | None:
+        """W-coordinates of rows of V^(x)d; None when a row is not in P_d."""
+        block = self.blocks[d - 1]
+        if not block.contains_rows(rows):
+            return None
+        return self._place(d, rows.take_columns(block.pivots))
+
+    def pair_coords(self, a: int, b: int, row: Matrix) -> Matrix:
+        """Coordinates of a row of V^(x)(a+b) in the w_mu (x) w_nu basis of W (x) W.
+
+        The row, reshaped to (n^a, n^b), lies in P_a (x) P_b exactly when each
+        of its rows lies in P_b and each column of their P_b-coordinates in P_a.
+        Raises when it does not, i.e. the braiding does not restrict to W.
+        """
+        n = self.quotient.space.n
+        right = self.coords(b, Matrix.build(self.field, row.num.reshape(n**a, n**b), row.den))
+        both = None if right is None else self.coords(a, right.transpose())
+        if both is None:
+            raise BialgebraInvariantError("braiding does not restrict to the primitive space")
+        return Matrix.build(self.field, both.num.T.reshape(1, -1), both.den)
+
+    def rows(self) -> list[Matrix]:
+        """The basis vectors w_0, w_1, ... of W as rows of their V^(x)d."""
+        return [b.basis.take_rows([k]) for b in self.blocks for k in range(b.dim)]
 
     def inclusion(self) -> Matrix:
-        """V -> primitive coordinates: v reduced mod R_1, in the P_1 basis."""
+        """V -> W: v reduced mod R_1, in the P_1 basis."""
         q = self.quotient
-        n = q.space.n
-        p1 = self.reports[0].subspace
-        red = q.relation(1).reduce_rows(Matrix.identity(q.space.field, n))
-        coords = red.take_columns(p1.pivots)
-        blk = coords.transpose()
-        patch = np.zeros((self.total, n), dtype=object)
-        patch[self.offsets[0] : self.offsets[0] + self.dims[0], :] = blk.num
-        return Matrix.build(q.space.field, patch, blk.den)
+        return self.coords(1, q.relation(1).reduce_rows(Matrix.identity(self.field, q.space.n))).transpose()
 
     def gamma(self) -> Matrix:
-        """Primitive coordinates -> V: the degree-1 component."""
-        q = self.quotient
-        n = q.space.n
-        p1 = self.reports[0].subspace
-        blk = p1.basis.transpose()
-        patch = np.zeros((n, self.total), dtype=object)
-        patch[:, self.offsets[0] : self.offsets[0] + self.dims[0]] = blk.num
-        return Matrix.build(q.space.field, patch, blk.den)
+        """W -> V: the degree-1 component."""
+        return self._place(1, self.blocks[0].basis.transpose())
+
+    def braiding(self) -> BraidedSpace:
+        """W with the braiding of the tensor algebra restricted to W (x) W.
+
+        Column (a, b) holds the coordinates of the block transposition of
+        w_a (x) w_b; the result is validated as a braided space.
+        """
+        if self.total > 8:
+            raise EnvelopeExceeded(f"primitive space dimension {self.total} exceeds the braidable cap 8")
+        space = self.quotient.space
+        basis = list(zip(self.rows(), self.degrees))
+        pairs = [
+            self.pair_coords(db, da, va.kron(vb) @ block_transposition(space, da, db).transpose())
+            for va, da in basis
+            for vb, db in basis
+        ]
+        return make_from_matrix(self.total, self.field, vstack(pairs).transpose())
 
 
 def gamma_matrix(q: GradedQuotient) -> Matrix:
@@ -242,66 +283,10 @@ def primitive_braiding(space: BraidedSpace, cutoff: int):
     then validated as a braided space in its own right.
 
     Returns ``(degrees, basis_rows, braided_space_on_W)`` where basis_rows
-    is a list of (degree, row Matrix) in W-coordinate order.
+    is the list of basis row Matrices in W-coordinate order.
     """
-    free = free_truncated(space, cutoff)
-    blocks = [(d, primitives(free, d).subspace) for d in range(1, cutoff + 1)]
-    degrees: list[int] = []
-    rows: list[Matrix] = []
-    for d, sub in blocks:
-        for k in range(sub.dim):
-            degrees.append(d)
-            rows.append(sub.basis.take_rows([k]))
-    dim_w = len(degrees)
-    if dim_w > 8:
-        raise EnvelopeExceeded(
-            f"primitive space dimension {dim_w} exceeds the braidable cap 8"
-        )
-    field = space.field
-    cw_rows = [[None] * (dim_w * dim_w) for _ in range(dim_w * dim_w)]
-    for col_a, (da, va) in enumerate(zip(degrees, rows)):
-        for col_b, (db, vb) in enumerate(zip(degrees, rows)):
-            vec = va.kron(vb)
-            moved = (block_transposition(space, da, db) @ vec.transpose()).transpose()
-            coords = _w_pair_coords(moved, db, da, degrees, blocks)
-            col = col_a * dim_w + col_b
-            for r in range(dim_w * dim_w):
-                cw_rows[r][col] = coords[r]
-    cw = Matrix.from_scalars(field, cw_rows)
-    return degrees, rows, make_from_matrix(dim_w, field, cw)
-
-
-def _w_pair_coords(moved: Matrix, deg_first, deg_second, degrees, blocks):
-    """Coordinates of a vector of V^(x)(a+b) in the w_mu (x) w_nu basis.
-
-    Raises when the vector does not lie in W (x) W, i.e. the braiding does
-    not restrict.
-    """
-    dim_w = len(degrees)
-    out = [0] * (dim_w * dim_w)
-    by_degree = dict(blocks)
-    sub_a = by_degree.get(deg_first)
-    sub_b = by_degree.get(deg_second)
-    if sub_a is None or sub_b is None or sub_a.dim == 0 or sub_b.dim == 0:
-        if not moved.is_zero():
-            raise BialgebraInvariantError("braiding does not restrict to the primitive space")
-        return out
-    pair_basis = Subspace(
-        moved.cols,
-        sub_a.basis.kron(sub_b.basis),
-        tuple(p * (moved.cols // sub_a.ambient_dim) + t for p in sub_a.pivots for t in sub_b.pivots),
-    )
-    if not pair_basis.contains_rows(moved):
-        raise BialgebraInvariantError("braiding does not restrict to the primitive space")
-    coords = moved.take_columns(pair_basis.pivots)
-    offset_a = sum(1 for d in degrees if d < deg_first)
-    offset_b = sum(1 for d in degrees if d < deg_second)
-    k = 0
-    for i in range(sub_a.dim):
-        for j in range(sub_b.dim):
-            out[(offset_a + i) * dim_w + (offset_b + j)] = coords.entry(0, k)
-            k += 1
-    return out
+    ps = _PrimitiveSpace(free_truncated(space, cutoff))
+    return ps.degrees, ps.rows(), ps.braiding()
 
 
 def monad_augmentation_check(space: BraidedSpace, d_outer: int, d_inner: int) -> bool:
@@ -322,95 +307,45 @@ def monad_augmentation_check(space: BraidedSpace, d_outer: int, d_inner: int) ->
     """
     if d_outer < 1 or d_inner < 1:
         raise EnvelopeExceeded("both truncation depths must be at least 1")
-    degrees, rows, w_space = primitive_braiding(space, d_inner)
-    dim_w = len(degrees)
-    if dim_w**d_outer > 4096:
-        raise EnvelopeExceeded(
-            f"outer layer dimension {dim_w}**{d_outer} is outside the envelope"
-        )
-    field = space.field
-    n = space.n
-
-    # gamma_V on W: the V-degree-1 block of W-coordinates.
-    free_inner = free_truncated(space, d_inner)
-    w1 = primitives(free_inner, 1).subspace
-    idx1 = [k for k, d in enumerate(degrees) if d == 1]
-    blk = w1.basis.transpose()
-    patch = np.zeros((n, dim_w), dtype=object)
-    for t, k in enumerate(idx1):
-        for r in range(n):
-            patch[r, k] = blk.num[r, t]
-    gam_v_mat = Matrix.build(field, patch, blk.den)
-
-    # unit law: u includes V as the degree-1 block of W.
-    unit = np.zeros((dim_w, n), dtype=object)
-    red1 = free_inner.relation(1).reduce_rows(Matrix.identity(field, n))
-    coords1 = red1.take_columns(w1.pivots)
-    for t, k in enumerate(idx1):
-        for c in range(n):
-            unit[k, c] = coords1.num[c, t]
-    unit_mat = Matrix.build(field, unit, coords1.den)
-    if gam_v_mat @ unit_mat != Matrix.identity(field, n):
+    ps = _PrimitiveSpace(free_truncated(space, d_inner))
+    w_space = ps.braiding()
+    if ps.total**d_outer > 4096:
+        raise EnvelopeExceeded(f"outer layer dimension {ps.total}**{d_outer} is outside the envelope")
+    gam = ps.gamma()
+    if gam @ ps.inclusion() != Matrix.identity(space.field, space.n):
         return False
-
     free_outer = free_truncated(w_space, d_outer)
-    outer_prims = [(k, primitives(free_outer, k).subspace) for k in range(1, d_outer + 1)]
-    inner_blocks = {d: primitives(free_inner, d).subspace for d in range(1, d_inner + 1)}
-
-    for k_deg, sub in outer_prims:
-        for row_idx in range(sub.dim):
-            x = sub.basis.take_rows([row_idx])
-            # gamma(gamma_W(x)): only the k=1 layer survives gamma_W.
-            if k_deg == 1:
-                lhs = (gam_v_mat @ x.transpose()).transpose()
-            else:
-                lhs = Matrix.zeros(field, 1, n)
-            m_coords = _multiply_into_w(space, x, k_deg, degrees, rows, inner_blocks, d_inner)
-            if m_coords is None:
-                return False
-            rhs = (gam_v_mat @ m_coords.transpose()).transpose()
-            if lhs != rhs:
-                return False
+    for k in range(1, d_outer + 1):
+        x = primitives(free_outer, k).subspace.basis
+        m_coords = _multiply_into_w(ps, x, k)
+        if m_coords is None:
+            return False
+        # gamma(gamma_W(x)): only the k=1 layer survives gamma_W.
+        lhs = x @ gam.transpose() if k == 1 else Matrix.zeros(space.field, x.rows, space.n)
+        if lhs != m_coords @ gam.transpose():
+            return False
     return True
 
 
-def _multiply_into_w(space, x, k_deg, degrees, rows, inner_blocks, d_inner):
-    """Expand an outer tensor through concatenation and express it in W.
+def _multiply_into_w(ps: _PrimitiveSpace, x: Matrix, k: int) -> Matrix | None:
+    """W-coordinates of the rows of x in W^(x)k, concatenated into T(V).
 
-    Returns the W-coordinates of the image (components of V-degree above the
-    inner cutoff are dropped), or None when the image fails to be primitive.
+    The word w_a1 (x) ... (x) w_ak goes to the same tensor in V^(x)e, e the
+    sum of its degrees; words with e above the inner cutoff are dropped.
+    None when some image is not primitive.
     """
-    field = space.field
-    dim_w = len(degrees)
-    by_degree: dict[int, Matrix] = {}
-    for t in range(x.cols):
-        coeff = x.entry(0, t)
-        if coeff == 0:
-            continue
-        digits = []
-        rem = t
-        for _ in range(k_deg):
-            digits.append(rem % dim_w)
-            rem //= dim_w
-        digits.reverse()
-        total_deg = sum(degrees[a] for a in digits)
-        if total_deg > d_inner:
-            continue
-        piece = rows[digits[0]]
-        for a in digits[1:]:
-            piece = piece.kron(rows[a])
-        arr = by_degree.get(total_deg)
-        add = piece.scale(coeff)
-        by_degree[total_deg] = add if arr is None else arr + add
-    coords = [0] * dim_w
-    for deg, vec in sorted(by_degree.items()):
-        if vec.is_zero():
-            continue
-        sub = inner_blocks[deg]
-        if sub.dim == 0 or not sub.contains_rows(vec):
+    rows = ps.rows()
+    by_degree: dict[int, tuple[list[int], list[Matrix]]] = {}
+    for t, word in enumerate(product(range(ps.total), repeat=k)):
+        e = sum(ps.degrees[a] for a in word)
+        if e <= ps.quotient.cutoff:
+            cols, pieces = by_degree.setdefault(e, ([], []))
+            cols.append(t)
+            pieces.append(reduce(Matrix.kron, (rows[a] for a in word)))
+    out = Matrix.zeros(ps.field, x.rows, ps.total)
+    for e, (cols, pieces) in by_degree.items():
+        coords = ps.coords(e, x.take_columns(cols) @ vstack(pieces))
+        if coords is None:
             return None
-        offset = sum(1 for d in degrees if d < deg)
-        cvals = vec.take_columns(sub.pivots)
-        for i in range(sub.dim):
-            coords[offset + i] = cvals.entry(0, i)
-    return Matrix.from_scalars(field, [coords])
+        out = out + coords
+    return out

@@ -204,6 +204,7 @@ def test_report_file_written(tmp_path):
     res = invoke(["rank", "--json", "--report", path], doc=FLIP2)
     with open(path) as fh:
         assert fh.read() == res.stdout
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_input_from_file(tmp_path):
@@ -375,7 +376,12 @@ def _report_is_a_directory(tmp_path):
         ("rank", _report_is_a_directory),
     ],
 )
-def test_unusable_output_path_exits_2(tmp_path, command, output):
+def test_unusable_output_path_exits_2(tmp_path, monkeypatch, command, output):
+    # the path is checked before any computation: the tower is never entered
+    def tower_entered(*args, **kwargs):
+        raise AssertionError("the tower ran before the output path was checked")
+
+    monkeypatch.setattr(cli.tower, "run", tower_entered)
     extra = ["--degree", "2"] if command == "primitives" else []
     res = invoke([command, "--json", *extra, *output(tmp_path)], doc=FLIP2)
     assert res.exit_code == 2

@@ -9,9 +9,11 @@ import pytest
 from braidrank import (
     GF,
     RATIONALS,
+    BialgebraInvariantError,
     DimensionMismatch,
     Matrix,
     Subspace,
+    augmentation_split,
     em_unit_check,
     free_truncated,
     gamma_retraction_check,
@@ -20,9 +22,11 @@ from braidrank import (
     idempotent_check,
     make_flip,
     monad_augmentation_check,
+    omega_projection,
     run,
     step,
 )
+from braidrank import tower
 from braidrank.tower import gamma_matrix, primitive_braiding, primitive_inclusion
 
 from conftest import diagonal_space, sym_dim, witt
@@ -176,6 +180,33 @@ def test_idempotent_is_rank_two_projector_on_free_flip_d2():
     assert e.rank() == 2
 
 
+@pytest.mark.parametrize("field", [RATIONALS, GF(7)])
+def test_law_maps_pinned_with_degree_one_relation(field):
+    # flip n=2 saturated by the line e0: Q_d = span(e1^d), W = P_1 = span(e1)
+    q = free_truncated(make_flip(2, field), 3)
+    line = Subspace.from_rows(Matrix.from_scalars(field, [[1, 0]]))
+    cut = ideal_saturate(q, [(1, line)])
+    assert hilbert_series(cut) == [1, 1, 1, 1]
+    assert gamma_matrix(cut) == Matrix.from_scalars(field, [[0], [1]])
+    assert primitive_inclusion(cut) == Matrix.from_scalars(field, [[0, 1]])
+    assert omega_projection(cut) == Matrix.from_scalars(field, [[0, 0, 0, 0], [0, 1, 0, 0]])
+    zeta = Matrix.from_scalars(field, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert augmentation_split(cut) == (zeta, zeta.transpose())
+    assert not gamma_retraction_check(cut) and idempotent_check(cut)
+
+
+def test_law_maps_pinned_when_degree_one_primitives_vanish():
+    # flip n=1 saturated by all of V: every R_d is everything, W = 0
+    q = free_truncated(make_flip(1, RATIONALS), 3)
+    cut = ideal_saturate(q, [(1, Subspace.full(RATIONALS, 1))])
+    assert hilbert_series(cut) == [1, 0, 0, 0]
+    assert gamma_matrix(cut) == Matrix.zeros(RATIONALS, 1, 0)
+    assert primitive_inclusion(cut) == Matrix.zeros(RATIONALS, 0, 1)
+    assert omega_projection(cut) == Matrix.zeros(RATIONALS, 1, 1)
+    assert augmentation_split(cut) == (Matrix.zeros(RATIONALS, 1, 0), Matrix.zeros(RATIONALS, 0, 1))
+    assert not gamma_retraction_check(cut) and idempotent_check(cut)
+
+
 def test_em_unit_check_gamma_vs_zero():
     for n in (1, 2):
         space = make_flip(n, RATIONALS)
@@ -224,13 +255,62 @@ def test_primitive_braiding_sign_hand_table():
     assert w_space.c == expected
 
 
+@pytest.mark.parametrize(
+    "space, degrees, table",
+    [
+        # char 3: x (x) x (x) x is primitive; the flip swaps the factors
+        (make_flip(1, GF(3)), [1, 3], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+        # q = -1 in GF(5): q^(deg a * deg b) on w_a (x) w_b
+        (diagonal_space(GF(5), [[4]]), [1, 2], [[4, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+    ],
+)
+def test_primitive_braiding_char_p_hand_tables(space, degrees, table):
+    got_degrees, rows, w_space = primitive_braiding(space, 3)
+    assert got_degrees == degrees
+    # n = 1: each V^(x)d is a line and its basis row is [1]
+    assert rows == [Matrix.identity(space.field, 1)] * 2
+    assert w_space.c == Matrix.from_scalars(space.field, table)
+    assert monad_augmentation_check(space, 2, 3)
+
+
 def test_monad_augmentation_check_flip_and_sign():
     assert monad_augmentation_check(make_flip(1, RATIONALS), 2, 3)
     assert monad_augmentation_check(diagonal_space(RATIONALS, [[-1]]), 2, 3)
+    # n = 2: words of W (x) W concatenate rows of different lengths
+    assert monad_augmentation_check(make_flip(2, RATIONALS), 2, 3)
+    assert monad_augmentation_check(diagonal_space(RATIONALS, [[-1, 1], [-1, -1]]), 2, 3)
+
+
+def test_primitive_space_coordinates_check_membership():
+    ps = tower._PrimitiveSpace(free_truncated(make_flip(2, RATIONALS), 2))
+    assert ps.degrees == [1, 1, 2] and ps.offsets == [0, 2, 3]
+    commutator = Matrix.from_scalars(RATIONALS, [[0, 1, -1, 0]])
+    assert ps.coords(2, commutator) == Matrix.from_scalars(RATIONALS, [[0, 0, 1]])
+    assert ps.coords(2, Matrix.from_scalars(RATIONALS, [[1, 0, 0, 0]])) is None
+    # e0 (x) [e0, e1] is w_0 (x) w_2, at index 0 * 3 + 2 of W (x) W
+    e0_commutator = Matrix.from_scalars(RATIONALS, [[0, 1, -1, 0, 0, 0, 0, 0]])
+    assert ps.pair_coords(1, 2, e0_commutator) == Matrix.from_scalars(RATIONALS, [[0, 0, 1] + [0] * 6])
+    with pytest.raises(BialgebraInvariantError):
+        ps.pair_coords(1, 2, Matrix.from_scalars(RATIONALS, [[1] + [0] * 7]))
 
 
 def test_monad_augmentation_check_char2():
     assert monad_augmentation_check(make_flip(1, GF(2)), 2, 2)
+
+
+def test_monad_augmentation_check_fails_when_gamma_m_differs(monkeypatch):
+    # doubling the multiplication image breaks gamma o m = gamma o gamma_W
+    # on the degree-1 outer primitives, and nothing else
+    real = tower._multiply_into_w
+
+    def doubled(ps, x, k):
+        out = real(ps, x, k)
+        return None if out is None else out.scale(2)
+
+    space = diagonal_space(RATIONALS, [[-1]])
+    assert monad_augmentation_check(space, 2, 3)
+    monkeypatch.setattr(tower, "_multiply_into_w", doubled)
+    assert not monad_augmentation_check(space, 2, 3)
 
 
 def test_monad_augmentation_envelope_guard():
