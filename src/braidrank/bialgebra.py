@@ -17,8 +17,9 @@ is indexed by the non-pivot columns N of rref(R_d), and the projection
 pi_d : V^(x)d -> Q_d = V^(x)d / R_d is x |-> x[N] - x[P] B[:, N], with B
 the rref basis and P its pivots.  The mixing space
 R_i (x) V^(x)j + V^(x)i (x) R_j is exactly the kernel of pi_i (x) pi_j, so
-the coideal re-check and the primitive kernels test membership by
-projecting onto Q_i (x) Q_j; the mixing space itself is never built.
+it is never built: the coideal re-check tests
+(pi_i (x) pi_j) Delta_{i,j} B^T = 0, and primitives start from the
+representatives e_c, c in N, of Q_d.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ class GradedQuotient:
         cols = self.quotient_columns(d)
         return rows.take_columns(cols) - rows.take_columns(rel.pivots) @ rel.basis.take_columns(cols)
 
+    def projection(self, d: int) -> Matrix:
+        """pi_d as a q_d x n^d matrix: the identity on N, -B[:, N]^T on the pivots."""
+        rel = self.relation(d)
+        cols = self.quotient_columns(d)
+        num = np.zeros((len(cols), rel.ambient_dim), dtype=rel.basis.num.dtype)
+        num[range(len(cols)), cols] = rel.basis.den
+        num[:, list(rel.pivots)] = -rel.basis.num[:, list(cols)].T
+        return Matrix.build(self.space.field, num, rel.basis.den)
+
     def tensor_coords(self, i: int, j: int, rows: Matrix) -> Matrix:
         """(pi_i (x) pi_j) of each row of V^(x)(i+j), flattened Q_j-major.
 
@@ -141,13 +151,13 @@ class GradedQuotient:
     def mixing_space(self, i: int, j: int) -> Subspace:
         """R_i (x) V^(x)j + V^(x)i (x) R_j inside V^(x)(i+j).
 
-        The engine tests membership through :meth:`tensor_coords` instead;
-        this explicit construction is the reference it is checked against.
+        Only the tests use this explicit construction, as the reference for
+        :meth:`tensor_coords` and the quotient-side coideal re-check.
         """
-        n = self.space.n
-        left = _tensor_flat(self.relation(i), n**j, right_factor=True)
-        right = _tensor_flat(self.relation(j), n**i, right_factor=False)
-        return left.sum(right)
+        n, field = self.space.n, self.space.field
+        left = self.relation(i).basis.kron(Matrix.identity(field, n**j))
+        right = Matrix.identity(field, n**i).kron(self.relation(j).basis)
+        return Subspace.from_rows(vstack([left, right]))
 
     def __eq__(self, other):
         if not isinstance(other, GradedQuotient):
@@ -164,36 +174,23 @@ class GradedQuotient:
         return f"GradedQuotient(n={self.space.n}, D={self.cutoff}, hilbert={hilbert_series(self)})"
 
 
-def _tensor_flat(sub: Subspace, m: int, right_factor: bool) -> Subspace:
-    """sub (x) F^m (right_factor) or F^m (x) sub; rref structure is preserved.
-
-    Tensoring an rref basis with the standard basis of F^m yields rows that
-    are already reduced with predictable pivots, so no elimination is needed.
-    """
-    field = sub.field
-    n_amb = sub.ambient_dim * m
-    if sub.dim == 0:
-        return Subspace.zero(field, n_amb)
-    eye = Matrix.identity(field, m)
-    if right_factor:
-        basis = sub.basis.kron(eye)
-        pivots = tuple(p * m + t for p in sub.pivots for t in range(m))
-    else:
-        basis = eye.kron(sub.basis)
-        pivots = tuple(t * sub.ambient_dim + p for t in range(m) for p in sub.pivots)
-    return Subspace(n_amb, basis, pivots)
-
-
-def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix) -> Matrix:
-    """rows @ Delta_{i,j}^T: each row is mapped through the coproduct.
+def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix, transposed: bool = False) -> Matrix:
+    """rows @ Delta_{i,j}^T, or rows @ Delta_{i,j} when ``transposed``.
 
     A monomial braiding scatters the integer terms of
-    :func:`braidrank.shuffle._monomial_delta`; any other braiding multiplies
-    by the dense :func:`braidrank.shuffle.delta_component`.
+    :func:`braidrank.shuffle._monomial_delta`; a term's targets form a
+    permutation, so its transpose is the term ``(inv, num[inv])`` with
+    ``inv = argsort(tgt)``.  Any other braiding multiplies by the dense
+    :func:`braidrank.shuffle.delta_component`.
     """
     if space.is_monomial:
-        return _scatter_apply(space, rows, *shuffle._monomial_delta(space, i, j))
-    return rows @ shuffle.delta_component(space, i, j).transpose()
+        terms, den = shuffle._monomial_delta(space, i, j)
+        if transposed:
+            terms = [(np.argsort(tgt), num) for tgt, num in terms]
+            terms = [(inv, num[inv]) for inv, num in terms]
+        return _scatter_apply(space, rows, terms, den)
+    delta = shuffle.delta_component(space, i, j)
+    return rows @ (delta if transposed else delta.transpose())
 
 
 def _scatter_apply(space: BraidedSpace, rows: Matrix, terms, den: int) -> Matrix:
@@ -252,9 +249,14 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
         rel = q.relation(d)
         if rel.dim == 0:
             continue
+        cols = q.quotient_columns(d)
+        tail = rel.basis.take_columns(cols).transpose()
         for i in range(1, d):
-            img = _apply_delta_rows(q.space, i, d - i, rel.basis)
-            if not q.tensor_coords(i, d - i, img).is_zero():
+            # M = (pi_i (x) pi_{d-i}) Delta_{i,d-i} has q_i q_{d-i} rows, not dim R_d;
+            # B[:, P] = Id, so M B^T = M[:, P] + M[:, N] B[:, N]^T has q_d inner columns
+            proj = q.projection(i).kron(q.projection(d - i))
+            covectors = _apply_delta_rows(q.space, i, d - i, proj, transposed=True)
+            if not (covectors.take_columns(rel.pivots) + covectors.take_columns(cols) @ tail).is_zero():
                 if require_coideal:
                     raise BialgebraInvariantError(
                         f"coideal property fails at degree {d}, split ({i},{d - i})"
@@ -319,8 +321,11 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
 
     An element is primitive when every mixed coproduct component vanishes in
     the quotient, i.e. (pi_i (x) pi_{d-i}) Delta_{i,d-i}(x) = 0 for every
-    0 < i < d; the kernel intersection is taken exactly and then reduced
-    modulo R_d.  Degree 1 returns a complement of R_1 (all of V in a tower).
+    0 < i < d.  The exact kernel intersection starts from the representatives
+    e_c, c in N, of Q_d: R is a coideal (else the quotient is refused), so
+    R_d lies in every such kernel and the result is the primitive preimage
+    reduced modulo R_d.  Degree 1 returns a complement of R_1 (all of V in a
+    tower).
     """
     cached = q._prim_cache.get(d)
     if cached is not None:
@@ -333,7 +338,7 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
         )
     space = q.space
     size = space.n**d
-    kern = Subspace.full(space.field, size)
+    kern = Subspace(size, q.section(d).transpose(), q.quotient_columns(d))
     for i in range(1, d):
         if kern.dim == 0:
             break
@@ -345,16 +350,7 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
             kern = Subspace.zero(space.field, size)
             break
         kern = Subspace.from_rows(coeffs.basis @ kern.basis)
-    rel = q.relation(d)
-    if rel.dim:
-        rep = Subspace.from_rows(rel.reduce_rows(kern.basis))
-    else:
-        rep = kern
-    if rep.dim != kern.dim - rel.dim:
-        raise BialgebraInvariantError(
-            f"R_{d} is not contained in the primitive preimage (degree {d})"
-        )
-    report = PrimitiveReport(d, rep)
+    report = PrimitiveReport(d, kern)
     q._prim_cache[d] = report
     return report
 

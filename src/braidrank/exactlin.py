@@ -201,9 +201,8 @@ class Matrix:
                 num = num.astype(object) % field.p
             else:
                 num = num.astype(np.int64) % field.p
-        if num.dtype == object and num.size:
-            if all(abs(int(x)) < _INT64_STORE for x in num.flat):
-                num = num.astype(np.int64)
+        if num.dtype == object and num.size and np.abs(num).max() < _INT64_STORE:
+            num = num.astype(np.int64)
         if num.dtype == object:
             out = np.empty(num.shape, dtype=object)
             for i in range(num.shape[0]):
@@ -512,8 +511,9 @@ def kernel_basis(mat: Matrix) -> Subspace:
     field = mat.field
     if not free.size:
         return Subspace.zero(field, mat.cols)
-    # row k: den at free column free[k], minus column free[k] of rref at the pivots
-    num = np.zeros((free.size, mat.cols), dtype=object)
+    # row k: den at free column free[k], minus column free[k] of rref at the
+    # pivots; an int64 rref has den = its pivot entries, so int64 holds both
+    num = np.zeros((free.size, mat.cols), dtype=red.num.dtype)
     num[range(free.size), free] = red.den
     num[:, list(pivots)] = -red.num[: len(pivots), free].T
     vectors = Matrix.build(field, num, red.den if field.is_rationals else 1)

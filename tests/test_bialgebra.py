@@ -73,13 +73,25 @@ def test_saturate_rejects_wrong_ambient():
         ideal_saturate(q, [(2, Subspace.full(RATIONALS, 3))])
 
 
-def test_saturate_flags_non_coideal_generators():
+def _jordan():
+    return make_from_matrix(
+        2, RATIONALS, Matrix.from_scalars(RATIONALS, [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]])
+    )
+
+
+@pytest.mark.parametrize(
+    "space",
+    [make_flip(2, RATIONALS), make_flip(2, GF(3)), _jordan()],
+    ids=["flip-QQ", "flip-F3", "jordan-QQ"],
+)
+def test_saturate_flags_non_coideal_generators(space):
     # the ideal generated by the single monomial e01 is not a coideal:
-    # Delta(e01) = e01 + e10 does not lie in R_1 (x) V + V (x) R_1 = 0.
+    # Delta(e01) = e01 + c(e01) does not lie in R_1 (x) V + V (x) R_1 = 0.
     # The algebra quotient is still formed, but the coproduct does not
-    # descend, so the primitive computation refuses it.
-    q = free_truncated(make_flip(2, RATIONALS), 3)
-    bad = span(RATIONALS, 4, [[0, 1, 0, 0]])
+    # descend, so the primitive computation refuses it.  The cases cover
+    # the monomial scatter over Q and over F_p and the dense product.
+    q = free_truncated(space, 3)
+    bad = span(space.field, 4, [[0, 1, 0, 0]])
     out = ideal_saturate(q, [(2, bad)])
     assert out.coideal_holds is False
     with pytest.raises(BialgebraInvariantError):
@@ -170,9 +182,7 @@ def test_tensor_coords_kernel_is_the_mixing_space():
     from braidrank.bialgebra import _apply_delta_rows
 
     a2 = diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]])
-    jordan = make_from_matrix(
-        2, RATIONALS, Matrix.from_scalars(RATIONALS, [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]])
-    )
+    jordan = _jordan()
     cases = [
         (make_flip(2, RATIONALS), 5),
         (make_flip(3, RATIONALS), 4),
@@ -197,7 +207,8 @@ def test_tensor_coords_kernel_is_the_mixing_space():
 
 def test_scatter_application_matches_dense_product():
     # the monomial scatter path and the dense matrix product are two
-    # implementations of rows @ Delta^T; they must agree entry for entry
+    # implementations of rows @ Delta^T, and with the transposed terms of
+    # rows @ Delta; they must agree entry for entry
     from braidrank import delta_component
     from braidrank.bialgebra import _apply_delta_rows
 
@@ -214,9 +225,9 @@ def test_scatter_application_matches_dense_product():
                 space.field,
                 [[(r * 7 + c * 3 + 1) % 5 - 2 for c in range(size)] for r in range(3)],
             )
-            fast = _apply_delta_rows(space, i, j, rows)
-            dense = rows @ delta_component(space, i, j).transpose()
-            assert fast == dense, (space, i, j)
+            delta = delta_component(space, i, j)
+            assert _apply_delta_rows(space, i, j, rows) == rows @ delta.transpose(), (space, i, j)
+            assert _apply_delta_rows(space, i, j, rows, transposed=True) == rows @ delta, (space, i, j)
 
 
 def test_hilbert_nonincreasing_under_saturation():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -324,3 +325,20 @@ def test_object_fallback_on_huge_entries():
     assert piv == [0, 1]
     assert red == Matrix.identity(RATIONALS, 2)
     assert (mat @ mat).entry(0, 0) == big * big + 1
+
+
+def test_int64_demotion_boundary():
+    # object arrays demote to int64 exactly when every |entry| < 2**62
+    edge = 2**62 - 1
+    assert Matrix.build(RATIONALS, np.array([[edge, -edge]], dtype=object)).num.dtype == np.int64
+    for big in (2**62, -(2**62)):
+        assert Matrix.build(RATIONALS, np.array([[big, 1]], dtype=object)).num.dtype == object
+
+
+def test_kernel_basis_on_int64_and_object_rrefs():
+    big = 10**30
+    for top, dtype in ((3, np.int64), (big, object)):
+        mat = Matrix.from_scalars(RATIONALS, [[top, 1, 0], [0, 1, top]])
+        ker = kernel_basis(mat)
+        assert ker.dim == 1 and ker.basis.num.dtype == dtype
+        assert (mat @ ker.basis.transpose()).is_zero()

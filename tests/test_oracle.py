@@ -142,9 +142,13 @@ def test_conjugated_braiding_exercises_dense_path():
     assert rep.stabilized and rep.rank_le_cutoff == base_rep.rank_le_cutoff
     assert hilbert_series(rep.final) == hilbert_series(base_rep.final)
     assert compare(rep.final, nichols_truncation(space, 3))
-    q = free_truncated(space, 3)
-    for d in (2, 3):
-        assert primitives(q, d).subspace == brute_force_primitives(space, q, d)
+    # every stage, so the dense path also meets quotients with R_d != 0
+    stages = [free_truncated(space, 3)]
+    run(space, 3, on_stage=lambda q, _: stages.append(q))
+    assert any(q.relation(d).dim for q in stages for d in (2, 3))
+    for q in stages:
+        for d in (1, 2, 3):
+            assert primitives(q, d).subspace == brute_force_primitives(space, q, d)
 
 
 def test_order3_and_order4_roots_give_truncated_lines():
