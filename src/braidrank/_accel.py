@@ -1,9 +1,14 @@
-"""Hot integer kernels: rational and modular Gauss-Jordan elimination.
+"""Hot integer kernels and the one rule for exact integer arithmetic.
 
-Every kernel is vectorised numpy on int64 arrays.  Before an elimination
-step or a product that could overflow int64, the kernel bails out and the
-same algorithm re-runs on an object-dtype (arbitrary precision) copy, so
-results are exact for any input.
+Every kernel is vectorised numpy on int64 arrays while that is provably
+exact, and on object-dtype (arbitrary precision) arrays otherwise.  One
+rule makes that choice for the whole package: :func:`exact` keeps int64
+operands when the caller's bound on every intermediate value is below
+2**63, and promotes them all to object dtype when it is not, or when any
+operand already is object dtype.  Gauss-Jordan elimination over Q checks
+the rows each pivot step wrote; once one exceeds :data:`LIMIT`, the work
+arrays turn into object dtype and the elimination continues from that
+pivot.  The int64 and object paths give the same values.
 
 All kernels are sequential; repeated runs produce identical bytes.
 """
@@ -15,6 +20,36 @@ import numpy as np
 # Largest |numerator| or denominator for which one elimination update (two
 # products plus a subtraction) provably fits in int64: 2 * LIMIT**2 < 2**63.
 LIMIT = 2_000_000_000
+
+# int64 holds every integer of absolute value below this.
+_INT64_BOUND = 1 << 63
+
+
+def maxabs(arr: np.ndarray) -> int:
+    """Largest |entry| of an int64 array, 0 when empty.
+
+    An object array has no int64 bound and gives 2**63.
+    """
+    if arr.dtype == object:
+        return _INT64_BOUND
+    if arr.size == 0:
+        return 0
+    return max(abs(int(arr.min())), abs(int(arr.max())))
+
+
+def exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The operands of an integer computation, in a dtype that keeps it exact.
+
+    ``bound`` bounds |every intermediate value| of the computation done in
+    int64, scalar operands included (build it from :func:`maxabs`).  The
+    arrays come back unchanged when none is object dtype and the bound is
+    below 2**63; otherwise all of them come back as object arrays.  An
+    object operand promotes the rest whatever the bound, because a bound
+    such as 0 * maxabs(object array) says nothing about it.
+    """
+    if bound < _INT64_BOUND and all(a.dtype != object for a in arrays):
+        return arrays
+    return tuple(a.astype(object, copy=False) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -38,89 +73,81 @@ def gcd_int(a: int, b: int) -> int:
     return a
 
 
-def _rref_frac_generic(num, dens, guarded: bool):
-    """Elimination on int64 (guarded against overflow) or object dtype."""
-    rows, cols = num.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(num[r:, c])
-        if nz.size == 0:
-            continue
-        if guarded:
-            m = int(np.abs(num).max()) if num.size else 0
-            m = max(m, int(dens.max()) if dens.size else 0)
-            if m > LIMIT:
-                return pivots, False
-        i = r + int(nz[0])
-        if i != r:
-            num[[r, i]] = num[[i, r]]
-            dens[[r, i]] = dens[[i, r]]
-        piv = num[r, c]
-        if piv < 0:
-            num[r] = -num[r]
-            piv = -piv
-        dens[r] = piv
-        if num.dtype == object:
-            g = 0
-            for v in num[r]:
-                g = gcd_int(g, int(v))
-                if g == 1:
-                    break
-            g = gcd_int(g, int(dens[r]))
-        else:
-            g = int(np.gcd.reduce(np.abs(num[r])))
-            g = gcd_int(g, int(dens[r]))
-        if g > 1:
-            num[r] = num[r] // g
-            dens[r] = dens[r] // g
-        dr = dens[r]
-        f = num[:, c].copy()
-        rest = np.flatnonzero(f)
-        rest = rest[rest != r]
-        if rest.size:
-            num[rest] = num[rest] * dr - np.outer(f[rest], num[r])
-            dens[rest] = dens[rest] * dr
-            if num.dtype == object:
-                for i2 in rest:
-                    g = int(dens[i2])
-                    for v in num[i2]:
-                        g = gcd_int(g, int(v))
-                        if g == 1:
-                            break
-                    if g > 1:
-                        num[i2] = num[i2] // g
-                        dens[i2] = dens[i2] // g
-            else:
-                gs = np.gcd.reduce(np.abs(num[rest]), axis=1)
-                gs = np.gcd(gs, dens[rest])
-                gs[gs == 0] = 1
-                num[rest] //= gs[:, None]
-                dens[rest] //= gs
-        pivots.append(c)
-        r += 1
-    return pivots, True
-
-
 def rref_frac(num: np.ndarray):
     """Rational rref of an integer matrix (row denominators are internal).
 
     Returns ``(numerators, row_dens, pivots)`` describing the unique rref:
     row i of the result is ``numerators[i] / row_dens[i]``.  The input is
-    not modified; int64 work falls back to exact object arithmetic when an
-    elimination step could overflow.
+    not modified.  Before a pivot step on int64 work whose entries or row
+    denominators exceed LIMIT, the work turns into object dtype and the
+    elimination continues from that pivot.
     """
-    if num.dtype != object:
-        work = np.ascontiguousarray(num, dtype=np.int64).copy()
-        dens = np.ones(num.shape[0], dtype=np.int64)
-        pivots, ok = _rref_frac_generic(work, dens, guarded=True)
-        if ok:
-            return work, dens, pivots
-    work = num.astype(object)
-    dens = np.ones(num.shape[0], dtype=object)
-    pivots, _ = _rref_frac_generic(work, dens, guarded=False)
+    rows, cols = num.shape
+    work = num.astype(object) if num.dtype == object else np.array(num, dtype=np.int64, order="C")
+    dens = np.ones(rows, dtype=work.dtype)
+    # bound of the rows the last pivot step eliminated; every other row only
+    # moved or shrank since it was last bounded, so testing these rows makes
+    # the same decision as a scan of the whole matrix
+    grown = maxabs(work) if work.dtype != object else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(work[r:, c])
+        if nz.size == 0:
+            continue
+        if grown > LIMIT:
+            work, dens = work.astype(object), dens.astype(object)
+        obj = work.dtype == object
+        i = r + int(nz[0])
+        if i != r:
+            work[[r, i]] = work[[i, r]]
+            dens[[r, i]] = dens[[i, r]]
+        piv = work[r, c]
+        if piv < 0:
+            work[r] = -work[r]
+            piv = -piv
+        dens[r] = piv
+        if obj:
+            g = 0
+            for v in work[r]:
+                g = gcd_int(g, int(v))
+                if g == 1:
+                    break
+        else:
+            g = int(np.gcd.reduce(np.abs(work[r])))
+        g = gcd_int(g, int(dens[r]))
+        if g > 1:
+            work[r] = work[r] // g
+            dens[r] = dens[r] // g
+        dr = dens[r]
+        f = work[:, c].copy()
+        rest = np.flatnonzero(f)
+        rest = rest[rest != r]
+        grown = 0
+        if rest.size:
+            upd = work[rest] * dr - np.outer(f[rest], work[r])
+            upd_dens = dens[rest] * dr
+            if obj:
+                for k in range(rest.size):
+                    g = int(upd_dens[k])
+                    for v in upd[k]:
+                        g = gcd_int(g, int(v))
+                        if g == 1:
+                            break
+                    if g > 1:
+                        upd[k] = upd[k] // g
+                        upd_dens[k] = upd_dens[k] // g
+            else:
+                gs = np.gcd(np.gcd.reduce(np.abs(upd), axis=1), upd_dens)
+                upd //= gs[:, None]
+                upd_dens //= gs
+                grown = max(maxabs(upd), maxabs(upd_dens))
+            work[rest] = upd
+            dens[rest] = upd_dens
+        pivots.append(c)
+        r += 1
     return work, dens, pivots
 
 
@@ -189,26 +216,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.dot(a.astype(object), b.astype(object)) % p
 
 
-def _maxabs(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    if arr.dtype == object:
-        return int(max(abs(x) for x in arr.flat))
-    return max(abs(int(arr.min())), abs(int(arr.max())))
-
-
 def matmul_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product; promotes to object dtype when int64 could wrap."""
-    if a.dtype != object and b.dtype != object:
-        bound = _maxabs(a) * _maxabs(b) * max(1, a.shape[1])
-        if bound < 2**63:
-            return a @ b
-    return np.dot(a.astype(object), b.astype(object))
+    """Exact integer product."""
+    a, b = exact(maxabs(a) * maxabs(b) * a.shape[1], a, b)
+    return a @ b
 
 
 def kron_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Kronecker product; promotes to object dtype when needed."""
-    if a.dtype != object and b.dtype != object:
-        if _maxabs(a) * _maxabs(b) < 2**63:
-            return np.kron(a, b)
-    return np.kron(a.astype(object), b.astype(object))
+    """Exact Kronecker product."""
+    return np.kron(*exact(maxabs(a) * maxabs(b), a, b))

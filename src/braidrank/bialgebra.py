@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import shuffle
+from . import _accel, shuffle
 from .braiding import BraidedSpace, check_degree
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
 from .exactlin import Matrix, Subspace, hstack, kernel_basis, vstack
@@ -203,19 +203,12 @@ def _scatter_apply(space: BraidedSpace, rows: Matrix, terms, den: int) -> Matrix
     field = space.field
     size = rows.cols
     m = rows.rows
-    src = rows.num
-    use_obj = src.dtype == object or any(c.dtype == object for _, c in terms)
-    if field.is_rationals and not use_obj:
-        cmax = max(1, max(int(np.abs(c).max(initial=0)) for _, c in terms))
-        if int(np.abs(src).max(initial=0)) * cmax * max(1, len(terms)) >= 2**62:
-            use_obj = True
-    if not field.is_rationals and field.p >= 1 << 31:
-        use_obj = True
-    if use_obj:
-        src = src.astype(object)
-    out = np.zeros((size, m), dtype=object if use_obj else np.int64)
-    for tgt, coeff in terms:
-        c = np.asarray(coeff, dtype=object) if use_obj else coeff
+    # over F_p the sum is reduced after every term
+    term_max = _accel.maxabs(rows.num) * max(_accel.maxabs(c) for _, c in terms)
+    bound = term_max * len(terms) if field.is_rationals else term_max + field.p
+    src, *coeffs = _accel.exact(bound, rows.num, *(c for _, c in terms))
+    out = np.zeros((size, m), dtype=src.dtype)
+    for (tgt, _), c in zip(terms, coeffs):
         out[np.asarray(tgt)] += (src * c[None, :]).T
         if not field.is_rationals:
             out %= field.p

@@ -102,7 +102,7 @@ def permutation_tensor_matrix(field: FieldSpec, n: int, perm: Sequence[int]) -> 
 class BraidedSpace:
     """A validated braided vector space: dimension n plus a braiding matrix."""
 
-    __slots__ = ("field", "n", "c", "_monomial", "_gen_cache", "_delta_cache", "_sym_cache")
+    __slots__ = ("field", "n", "c", "_monomial", "_delta_cache", "_sym_cache")
 
     def __init__(self, field: FieldSpec, n: int, c: Matrix, _validated: bool = False):
         if not _validated:
@@ -111,7 +111,6 @@ class BraidedSpace:
         self.n = n
         self.c = c
         self._monomial = _detect_monomial(c)
-        self._gen_cache: dict[tuple[int, int], Matrix] = {}
         self._delta_cache: dict = {}
         self._sym_cache: dict = {}
 
@@ -210,15 +209,9 @@ def braid_generator(space: BraidedSpace, d: int, i: int) -> Matrix:
     check_degree(d)
     if not 1 <= i <= d - 1:
         raise IndexOutOfRange(f"generator index {i} outside 1..{d - 1}")
-    key = (d, i)
-    cached = space._gen_cache.get(key)
-    if cached is None:
-        n = space.n
-        left = Matrix.identity(space.field, n ** (i - 1))
-        right = Matrix.identity(space.field, n ** (d - i - 1))
-        cached = left.kron(space.c).kron(right)
-        space._gen_cache[key] = cached
-    return cached
+    left = Matrix.identity(space.field, space.n ** (i - 1))
+    right = Matrix.identity(space.field, space.n ** (d - i - 1))
+    return left.kron(space.c).kron(right)
 
 
 def braid_word(space: BraidedSpace, d: int, word: Sequence[int]) -> Matrix:

@@ -39,8 +39,8 @@ Scalar = Union[Fraction, int]
 
 MAX_PRIME = 1 << 61
 
-# object arrays demote to int64 below this bound; per-op overflow prechecks
-# in _accel decide the working dtype independently.
+# object arrays are stored as int64 below this bound; this is a storage
+# rule only, the working dtype of each operation is chosen by _accel.exact.
 _INT64_STORE = 1 << 62
 
 
@@ -197,10 +197,7 @@ class Matrix:
                 inv = pow(den % field.p, -1, field.p)
                 num = num.astype(object) * inv
                 den = 1
-            if num.dtype == object or field.p >= _accel.MOD_INT64_MAX:
-                num = num.astype(object) % field.p
-            else:
-                num = num.astype(np.int64) % field.p
+            num = (num if num.dtype == object else num.astype(np.int64)) % field.p
         if num.dtype == object and num.size and np.abs(num).max() < _INT64_STORE:
             num = num.astype(np.int64)
         if num.dtype == object:
@@ -296,11 +293,8 @@ class Matrix:
             g = gcd(da, db)
             L = da // g * db
             ma, mb = L // da, L // db
-            a, b = self.num, other.num
-            if a.dtype != object and b.dtype != object:
-                bound = _accel._maxabs(a) * ma + _accel._maxabs(b) * mb
-                if bound >= 2**63:
-                    a, b = a.astype(object), b.astype(object)
+            bound = max(_accel.maxabs(self.num), 1) * ma + max(_accel.maxabs(other.num), 1) * mb
+            a, b = _accel.exact(bound, self.num, other.num)
             num = a * ma + b * mb
             return Matrix.build(self.field, num, L)
         return Matrix.build(self.field, self.num + other.num)
@@ -313,14 +307,9 @@ class Matrix:
 
     def scale(self, s) -> "Matrix":
         s = coerce_scalar(s, self.field)
-        if self.field.is_rationals:
-            if s.numerator == 0:
-                return Matrix.zeros(self.field, self.rows, self.cols)
-            a = self.num
-            if a.dtype != object and _accel._maxabs(a) * abs(s.numerator) >= 2**63:
-                a = a.astype(object)
-            return Matrix.build(self.field, a * s.numerator, self.den * s.denominator)
-        return Matrix.build(self.field, self.num * s if self.num.dtype == object else self.num.astype(object) * s)
+        top, bottom = (s.numerator, s.denominator) if self.field.is_rationals else (s, 1)
+        (a,) = _accel.exact(max(_accel.maxabs(self.num), 1) * abs(top), self.num)
+        return Matrix.build(self.field, a * top, self.den * bottom)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -398,17 +387,10 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
         den = 1
         for m in mats:
             den = den // gcd(den, m.den) * m.den
-        parts = []
-        for m in mats:
-            f = den // m.den
-            a = m.num
-            if a.dtype != object and f > 1 and _accel._maxabs(a) * f >= 2**63:
-                a = a.astype(object)
-            parts.append(a * f if f != 1 else a)
-        obj = any(p.dtype == object for p in parts)
-        if obj:
-            parts = [p.astype(object) for p in parts]
-        return Matrix.build(field, np.vstack(parts), den)
+        factors = [den // m.den for m in mats]
+        bound = max(max(_accel.maxabs(m.num), 1) * f for m, f in zip(mats, factors))
+        parts = _accel.exact(bound, *(m.num for m in mats))
+        return Matrix.build(field, np.vstack([a * f if f != 1 else a for a, f in zip(parts, factors)]), den)
     return Matrix.build(field, np.vstack([m.num for m in mats]))
 
 

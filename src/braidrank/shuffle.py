@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._accel import _maxabs
+from ._accel import exact, maxabs
 from .braiding import (
     BraidedSpace,
     braid_generator,
@@ -65,8 +65,7 @@ def unshuffles(i: int, j: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 def _times(a: np.ndarray, b, field: FieldSpec) -> np.ndarray:
     """Exact elementwise product of integer arrays, object dtype if int64 could wrap."""
     b = np.asarray(b)
-    if a.dtype == object or b.dtype == object or _maxabs(a) * _maxabs(b) >= 2**63:
-        a, b = a.astype(object), b.astype(object)
+    a, b = exact(maxabs(a) * maxabs(b), a, b)
     return a * b if field.is_rationals else a * b % field.p
 
 
@@ -88,14 +87,8 @@ def _monomial_lift(space: BraidedSpace, d: int, word):
 
 
 def _dense_lift(space: BraidedSpace, d: int, word) -> Matrix:
-    """Dense lift of a braid word, one I (x) c (x) I factor at a time."""
-    n = space.n
-    out = Matrix.identity(space.field, n**d)
-    for k in reversed(list(word)):
-        left = Matrix.identity(space.field, n ** (k - 1))
-        right = Matrix.identity(space.field, n ** (d - k - 1))
-        out = left.kron(space.c).kron(right) @ out
-    return out
+    """Dense lift of a braid word (the name the benchmark tracer counts)."""
+    return braid_word(space, d, word)
 
 
 def _monomial_delta(space: BraidedSpace, i: int, j: int):
@@ -130,11 +123,9 @@ def _monomial_delta(space: BraidedSpace, i: int, j: int):
 def _assemble_monomial_sum(space: BraidedSpace, d: int, terms, den: int) -> Matrix:
     """Dense matrix of a sum of monomial terms over the denominator ``den``."""
     size = space.n**d
-    exact = any(num.dtype == object for _, num in terms)
-    if not exact and max(_maxabs(num) for _, num in terms) * len(terms) >= 2**63:
-        exact = True
-    out = np.zeros((size, size), dtype=object if exact else np.int64)
-    for tgt, num in terms:
+    nums = exact(max(maxabs(num) for _, num in terms) * len(terms), *(num for _, num in terms))
+    out = np.zeros((size, size), dtype=nums[0].dtype)
+    for (tgt, _), num in zip(terms, nums):
         out[tgt, np.arange(size)] += num
     return Matrix.build(space.field, out, den)
 

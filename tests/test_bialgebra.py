@@ -209,7 +209,7 @@ def test_scatter_application_matches_dense_product():
     # the monomial scatter path and the dense matrix product are two
     # implementations of rows @ Delta^T, and with the transposed terms of
     # rows @ Delta; they must agree entry for entry
-    from braidrank import delta_component
+    from braidrank import delta_component, shuffle
     from braidrank.bialgebra import _apply_delta_rows
 
     cases = [
@@ -228,6 +228,22 @@ def test_scatter_application_matches_dense_product():
             delta = delta_component(space, i, j)
             assert _apply_delta_rows(space, i, j, rows) == rows @ delta.transpose(), (space, i, j)
             assert _apply_delta_rows(space, i, j, rows, transposed=True) == rows @ delta, (space, i, j)
+
+    # at d = 8 these splits of the A2 pair have object-dtype terms; int64
+    # row blocks whose bound is 0 (no rows, all zeros) must still promote
+    space = cases[2]
+    size = space.n**8
+    blocks = [
+        Matrix.zeros(RATIONALS, 0, size),
+        Matrix.zeros(RATIONALS, 2, size),
+        Matrix.identity(RATIONALS, size).take_rows(range(0, size, 37)),
+    ]
+    for (i, j) in [(3, 5), (4, 4), (5, 3)]:
+        assert any(num.dtype == object for _, num in shuffle._monomial_delta(space, i, j)[0])
+        delta = delta_component(space, i, j)
+        for rows in blocks:
+            assert _apply_delta_rows(space, i, j, rows) == rows @ delta.transpose(), (i, j, rows.rows)
+            assert _apply_delta_rows(space, i, j, rows, transposed=True) == rows @ delta, (i, j, rows.rows)
 
 
 def test_hilbert_nonincreasing_under_saturation():

@@ -24,6 +24,8 @@ from braidrank import (
     parse_scalar,
     rref,
 )
+from braidrank import _accel
+from braidrank.exactlin import vstack
 
 F5 = GF(5)
 F7 = GF(7)
@@ -325,6 +327,55 @@ def test_object_fallback_on_huge_entries():
     assert piv == [0, 1]
     assert red == Matrix.identity(RATIONALS, 2)
     assert (mat @ mat).entry(0, 0) == big * big + 1
+
+
+def test_exact_rule_promotes_all_operands_or_none():
+    a = np.array([[3, -4]], dtype=np.int64)
+    b = np.array([5], dtype=np.int64)
+    kept = _accel.exact(2**63 - 1, a, b)
+    assert kept[0] is a and kept[1] is b
+    empty = np.zeros((0, 2), dtype=np.int64)
+    # an object operand promotes the rest even at bound 0 (0 * maxabs(object))
+    for bound, ops in ((2**63, (a, b)), (0, (a, b.astype(object))), (0, (empty, b.astype(object)))):
+        out = _accel.exact(bound, *ops)
+        assert [x.dtype for x in out] == [object] * len(ops)
+        assert all(np.array_equal(x, y) for x, y in zip(out, ops))
+
+
+def test_rref_promotes_in_place_once_entries_pass_limit():
+    # entries start far below LIMIT and pass it only after a few pivots; in
+    # the second matrix only a row denominator passes it before the last step
+    cases = [
+        np.random.default_rng(1).integers(-999, 1000, size=(6, 7)),
+        np.array([[0, -69722, -57112, 0, 1], [63418, 0, 0, 1, -1], [30177, -1, 0, 0, 0]]),
+    ]
+    for num in cases:
+        work, dens, pivots = _accel.rref_frac(num)
+        assert _accel.maxabs(num) <= _accel.LIMIT and work.dtype == object
+        obj_work, obj_dens, obj_pivots = _accel.rref_frac(num.astype(object))
+        assert pivots == obj_pivots
+        assert np.array_equal(work, obj_work) and np.array_equal(dens, obj_dens)
+        red, piv = Matrix.build(RATIONALS, num).rref()
+        ref, ref_piv = reference_rref(num.tolist(), RATIONALS)
+        assert list(piv) == ref_piv and red == Matrix.from_scalars(RATIONALS, ref)
+
+
+def test_rref_limit_is_inclusive():
+    # after the first step row 1 is [0, -1] over den LIMIT; still int64
+    top = _accel.LIMIT
+    for first, dtype in ((top, np.int64), (top + 1, object)):
+        work, dens, pivots = _accel.rref_frac(np.array([[first, 1], [first, 0]], dtype=np.int64))
+        assert work.dtype == dtype and pivots == [0, 1]
+        assert work.tolist() == [[1, 0], [0, 1]] and dens.tolist() == [1, 1]
+
+
+def test_huge_scalars_on_zero_blocks():
+    # a scalar operand must fit int64 even when it multiplies only zeros
+    zero = Matrix.zeros(RATIONALS, 1, 2)
+    tiny = Matrix.from_scalars(RATIONALS, [[Fraction(1, 10**30), 0]])
+    assert zero.scale(Fraction(10**30, 7)) == zero
+    assert tiny + zero == tiny and zero + tiny == tiny
+    assert vstack([zero, tiny]) == Matrix.from_scalars(RATIONALS, [[0, 0], [Fraction(1, 10**30), 0]])
 
 
 def test_int64_demotion_boundary():
