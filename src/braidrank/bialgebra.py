@@ -20,6 +20,11 @@ R_i (x) V^(x)j + V^(x)i (x) R_j is exactly the kernel of pi_i (x) pi_j, so
 it is never built: the coideal re-check tests
 (pi_i (x) pi_j) Delta_{i,j} B^T = 0, and primitives start from the
 representatives e_c, c in N, of Q_d.
+
+When the braiding preserves multidegree (``BraidedSpace.weights``), every
+R_d, primitive kernel and saturation stack is block-diagonal by weight, and
+the eliminations here run one weight class at a time; the bases are the
+flat ones, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from . import _accel, shuffle
 from .braiding import BraidedSpace, check_degree
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
-from .exactlin import Matrix, Subspace, hstack, kernel_basis, vstack
+from .exactlin import Matrix, Subspace, graded_matmul, hstack, kernel_basis, vstack
 
 __all__ = [
     "GradedQuotient",
@@ -289,7 +294,7 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
             )
         if sub.field != q.space.field:
             raise AmbientMismatch(f"field mismatch: {sub.field} vs {q.space.field}")
-        rels[d - 1] = rels[d - 1].sum(sub)
+        rels[d - 1] = rels[d - 1].sum(sub, q.space.weights(d))
     eye = Matrix.identity(q.space.field, n)
     for d in range(1, q.cutoff):
         cur = rels[d - 1]
@@ -298,7 +303,7 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
         stack = [rels[d].basis] if rels[d].dim else []
         stack.append(cur.basis.kron(eye))
         stack.append(eye.kron(cur.basis))
-        rels[d] = Subspace.from_rows(vstack(stack))
+        rels[d] = Subspace.from_rows(vstack(stack), q.space.weights(d + 1))
     out = GradedQuotient(q.space, q.cutoff, rels, _validated=True)
     _validate_quotient(out, require_coideal=False)
     return out
@@ -319,6 +324,12 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
     R_d lies in every such kernel and the result is the primitive preimage
     reduced modulo R_d.  Degree 1 returns a complement of R_1 (all of V in a
     tower).
+
+    For a graded braiding each kern row has the weight of its pivot, and
+    each image row lies in one weight class.  So the coefficient kernel is
+    eliminated per class of kern rows, and the product coefficients @ kern
+    multiplies each class's coefficients by its kern rows, restricted to
+    that class's columns of V^(x)d.
     """
     cached = q._prim_cache.get(d)
     if cached is not None:
@@ -331,6 +342,7 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
         )
     space = q.space
     size = space.n**d
+    weights = space.weights(d)
     kern = Subspace(size, q.section(d).transpose(), q.quotient_columns(d))
     for i in range(1, d):
         if kern.dim == 0:
@@ -338,11 +350,11 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
         images = q.tensor_coords(i, d - i, _apply_delta_rows(space, i, d - i, kern.basis))
         if images.is_zero():
             continue
-        coeffs = kernel_basis(images.transpose())
+        coeffs = kernel_basis(images.transpose(), weights[list(kern.pivots)])
         if coeffs.dim == 0:
             kern = Subspace.zero(space.field, size)
             break
-        kern = Subspace.from_rows(coeffs.basis @ kern.basis)
+        kern = Subspace.from_rows(graded_matmul(coeffs.basis, kern.basis, weights), weights)
     report = PrimitiveReport(d, kern)
     q._prim_cache[d] = report
     return report

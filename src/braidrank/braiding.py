@@ -7,7 +7,10 @@ c[(k,l),(i,j)] is the coefficient of e_k (x) e_l in c(e_i (x) e_j).
 
 Every constructed space is validated: c must be invertible and satisfy the
 braid equation (c(x)I)(I(x)c)(c(x)I) = (I(x)c)(c(x)I)(I(x)c) on V^(x)3,
-as an exact matrix identity.
+as an exact matrix identity.  Validation also decides whether c preserves
+the Z^n multidegree of a tensor (flip and diagonal braidings do); then
+every braid lift, coproduct component and relation space is block-diagonal
+by weight, and :meth:`BraidedSpace.weights` labels each basis word.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def permutation_tensor_matrix(field: FieldSpec, n: int, perm: Sequence[int]) -> 
 class BraidedSpace:
     """A validated braided vector space: dimension n plus a braiding matrix."""
 
-    __slots__ = ("field", "n", "c", "_monomial", "_delta_cache", "_sym_cache")
+    __slots__ = ("field", "n", "c", "_monomial", "_graded", "_weights", "_delta_cache", "_sym_cache")
 
     def __init__(self, field: FieldSpec, n: int, c: Matrix, _validated: bool = False):
         if not _validated:
@@ -111,12 +114,28 @@ class BraidedSpace:
         self.n = n
         self.c = c
         self._monomial = _detect_monomial(c)
+        self._graded = _preserves_multidegree(n, c)
+        self._weights: dict[int, np.ndarray] = {}
         self._delta_cache: dict = {}
         self._sym_cache: dict = {}
 
     @property
     def is_monomial(self) -> bool:
         return self._monomial is not None
+
+    def weights(self, d: int) -> np.ndarray:
+        """The multidegree code of each basis word of V^(x)d (read-only).
+
+        Words with the same letters, counted with multiplicity, share a
+        code.  When c does not preserve multidegree every code is 0: the
+        whole space is one weight class.
+        """
+        w = self._weights.get(d)
+        if w is None:
+            w = _multidegree(self.n, d) if self._graded else np.zeros(self.n**d, dtype=np.int64)
+            w.setflags(write=False)
+            self._weights[d] = w
+        return w
 
     def __eq__(self, other):
         if not isinstance(other, BraidedSpace):
@@ -141,6 +160,25 @@ def _detect_monomial(c: Matrix):
             return None
         perm[j] = int(nz[0])
     return perm
+
+
+def _multidegree(n: int, d: int) -> np.ndarray:
+    """Sum over the letters of each word of V^(x)d of (d+1)**letter.
+
+    A letter occurs at most d times, so the code is the letter counts in
+    base d+1; within the caps it stays below 13**8 < 2**63.
+    """
+    idx = np.arange(n**d, dtype=np.int64)
+    code = np.zeros(n**d, dtype=np.int64)
+    for k in range(d):
+        code += (d + 1) ** ((idx // n**k) % n)
+    return code
+
+
+def _preserves_multidegree(n: int, c: Matrix) -> bool:
+    """c[(k,l),(i,j)] != 0 only where e_k + e_l = e_i + e_j."""
+    w = _multidegree(n, 2)
+    return not ((c.num != 0) & (w[:, None] != w[None, :])).any()
 
 
 def _validate(field: FieldSpec, n: int, c: Matrix) -> BraidedSpace:

@@ -185,7 +185,7 @@ def _subspace_doc(sub: Subspace, field) -> list:
     return text[where].reshape(mat.shape).tolist()
 
 
-def _subspace_from_doc(field, ambient, rows) -> Subspace:
+def _subspace_from_doc(field, ambient, rows, labels) -> Subspace:
     if not rows:
         return Subspace.zero(field, ambient)
     if not all(isinstance(row, list) and len(row) == ambient for row in rows):
@@ -197,7 +197,7 @@ def _subspace_from_doc(field, ambient, rows) -> Subspace:
     distinct, where = np.unique(np.array(texts), return_inverse=True)
     values = Matrix.from_scalars(field, [distinct.tolist()])
     num = values.num[0][where].reshape(len(rows), ambient)
-    return Subspace.from_rows(Matrix.build(field, num, values.den))
+    return Subspace.from_rows(Matrix.build(field, num, values.den), labels)
 
 
 def _quotient_relations_doc(q: GradedQuotient) -> dict:
@@ -209,7 +209,7 @@ def _quotient_relations_doc(q: GradedQuotient) -> dict:
 
 def _quotient_from_doc(space: BraidedSpace, cutoff: int, doc: dict) -> GradedQuotient:
     rels = [
-        _subspace_from_doc(space.field, space.n**d, doc.get(str(d), []))
+        _subspace_from_doc(space.field, space.n**d, doc.get(str(d), []), space.weights(d))
         for d in range(1, cutoff + 1)
     ]
     q = GradedQuotient(space, cutoff, rels, _validated=True)

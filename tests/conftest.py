@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from braidrank import GF, RATIONALS, Matrix, make_diagonal, make_flip
+from braidrank import GF, RATIONALS, Matrix, make_diagonal, make_flip, make_from_matrix
 
 F2 = GF(2)
 F3 = GF(3)
@@ -21,6 +21,23 @@ ORDER4_F13 = 5
 
 def diagonal_space(field, qgrid):
     return make_diagonal(field, Matrix.from_scalars(field, qgrid))
+
+
+def jordan_space():
+    """The non-monomial Jordan braiding of the dense_q benchmark (Q, n=2)."""
+    entries = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
+    return make_from_matrix(2, RATIONALS, Matrix.from_scalars(RATIONALS, entries))
+
+
+def conjugated_space():
+    """A diagonal braiding conjugated by a unipotent change of basis (Q, n=2).
+
+    Yang-Baxter is preserved, but the matrix is neither monomial nor
+    multidegree-preserving."""
+    base = diagonal_space(RATIONALS, [[2, 1], [1, 3]])
+    t = Matrix.from_scalars(RATIONALS, [[1, 1], [0, 1]])
+    t_inv = Matrix.from_scalars(RATIONALS, [[1, -1], [0, 1]])
+    return make_from_matrix(2, RATIONALS, t.kron(t) @ base.c @ t_inv.kron(t_inv))
 
 
 def witt(n: int, d: int) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from braidrank import (
@@ -19,15 +20,15 @@ from braidrank import (
     hilbert_series,
     ideal_saturate,
     make_flip,
-    make_from_matrix,
     omega_projection,
     primitives,
 )
 from braidrank.bialgebra import GradedQuotient, _validate_quotient
-from braidrank.exactlin import kernel_basis, vstack
+from braidrank.braiding import BraidedSpace
+from braidrank.exactlin import _weight_blocks, kernel_basis, vstack
 from braidrank.tower import run
 
-from conftest import diagonal_space, sym_dim, witt
+from conftest import diagonal_space, jordan_space, sym_dim, witt
 
 
 def span(field, ambient, rows):
@@ -73,15 +74,9 @@ def test_saturate_rejects_wrong_ambient():
         ideal_saturate(q, [(2, Subspace.full(RATIONALS, 3))])
 
 
-def _jordan():
-    return make_from_matrix(
-        2, RATIONALS, Matrix.from_scalars(RATIONALS, [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]])
-    )
-
-
 @pytest.mark.parametrize(
     "space",
-    [make_flip(2, RATIONALS), make_flip(2, GF(3)), _jordan()],
+    [make_flip(2, RATIONALS), make_flip(2, GF(3)), jordan_space()],
     ids=["flip-QQ", "flip-F3", "jordan-QQ"],
 )
 def test_saturate_flags_non_coideal_generators(space):
@@ -182,7 +177,7 @@ def test_tensor_coords_kernel_is_the_mixing_space():
     from braidrank.bialgebra import _apply_delta_rows
 
     a2 = diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]])
-    jordan = _jordan()
+    jordan = jordan_space()
     cases = [
         (make_flip(2, RATIONALS), 5),
         (make_flip(3, RATIONALS), 4),
@@ -313,3 +308,59 @@ def test_mod_p_quotients():
     assert primitives(q, 2).subspace.dim == 1
     out = ideal_saturate(q, [(2, Subspace.full(GF(2), 1))])
     assert hilbert_series(out) == [1, 1, 0, 0, 0]
+
+
+def _flat_weights(monkeypatch):
+    """Make every braiding one weight class, so the flat eliminations run."""
+    monkeypatch.setattr(BraidedSpace, "weights", lambda self, d: np.zeros(self.n**d, dtype=np.int64))
+
+
+def _identical(x, y):
+    """Equal bases, and equal pivots, den and numerator dtype."""
+    assert x.pivots == y.pivots and x.basis.den == y.basis.den
+    assert x.basis.num.dtype == y.basis.num.dtype and np.array_equal(x.basis.num, y.basis.num)
+
+
+def _same_relations(a, b):
+    for d in range(1, a.cutoff + 1):
+        _identical(a.relation(d), b.relation(d))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF(3)], ids=["QQ", "F3"])
+def test_saturate_inhomogeneous_generator_matches_flat(field, monkeypatch):
+    # e00 + e11 mixes the weights 2e_0 and 2e_1, so its closure crosses
+    # classes and those degrees take the flat path; e01 - e10 alone splits
+    space = make_flip(2, field)
+    mixed = span(field, 4, [[1, 0, 0, 1], [0, 1, -1, 0]])
+    commutator = span(field, 4, [[0, 1, -1, 0]])
+    graded = [ideal_saturate(free_truncated(space, 5), [(2, gen)]) for gen in (mixed, commutator)]
+    assert _weight_blocks(graded[0].relation(3).basis.num, space.weights(3)) is None
+    assert _weight_blocks(graded[1].relation(3).basis.num, space.weights(3)) is not None
+    _flat_weights(monkeypatch)
+    for out, gen in zip(graded, (mixed, commutator)):
+        _same_relations(out, ideal_saturate(free_truncated(space, 5), [(2, gen)]))
+
+
+def test_graded_tower_matches_flat(monkeypatch):
+    # every stage's relations and primitives, block by block and flat
+    cases = [
+        (make_flip(3, RATIONALS), 4),
+        (make_flip(2, GF(3)), 6),
+        (diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]), 6),
+    ]
+
+    def stages(space, cutoff):
+        out = [free_truncated(space, cutoff)]
+        run(space, cutoff, on_stage=lambda q, _: out.append(q))
+        return out, [[primitives(q, d).subspace for d in range(1, cutoff + 1)] for q in out]
+
+    graded = [stages(space, cutoff) for space, cutoff in cases]
+    _flat_weights(monkeypatch)
+    for (space, cutoff), (quotients, prims) in zip(cases, graded):
+        flat_quotients, flat_prims = stages(space, cutoff)
+        assert len(quotients) == len(flat_quotients)
+        for a, b in zip(quotients, flat_quotients):
+            _same_relations(a, b)
+        for a, b in zip(prims, flat_prims):
+            for x, y in zip(a, b):
+                _identical(x, y)

@@ -30,7 +30,7 @@ from braidrank.braiding import (
     permutation_tensor_matrix,
 )
 
-from conftest import diagonal_space
+from conftest import conjugated_space, diagonal_space, jordan_space
 
 
 def test_flip_n1_is_identity():
@@ -213,3 +213,45 @@ def test_caps_enforced():
     space = make_flip(2, RATIONALS)
     with pytest.raises(DegreeCap):
         braid_word(space, 13, [1])
+
+
+def test_multidegree_grading_is_decided_at_validation():
+    graded = [
+        make_flip(1, RATIONALS),
+        make_flip(3, GF(3)),
+        diagonal_space(RATIONALS, [[-1, 1], [-1, -1]]),
+        diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
+        diagonal_space(GF(7), [[2, 3], [4, 5]]),
+    ]
+    for space in graded:
+        assert space._graded, space
+    for space in (jordan_space(), conjugated_space()):
+        assert not space.is_monomial and not space._graded
+        for d in (0, 1, 3):
+            w = space.weights(d)
+            assert w.shape == (2**d,) and not w.any()
+
+
+def test_weights_code_letter_counts():
+    space = make_flip(2, RATIONALS)
+    # code of a word: sum over its letters of (d+1)**letter
+    assert space.weights(2).tolist() == [2, 4, 4, 6]
+    assert space.weights(0).tolist() == [0]
+    assert space.weights(3) is space.weights(3) and not space.weights(3).flags.writeable
+    # equal codes exactly for equal letter counts
+    for n, d in ((2, 5), (3, 4)):
+        w = make_flip(n, RATIONALS).weights(d)
+        counts = [
+            tuple([(idx // n ** (d - 1 - k)) % n for k in range(d)].count(a) for a in range(n))
+            for idx in range(n**d)
+        ]
+        pairs = set(zip(counts, w.tolist()))
+        assert len(pairs) == len(set(counts)) == len(set(w.tolist()))
+
+
+def test_braid_lifts_preserve_weights():
+    for space in (make_flip(2, RATIONALS), diagonal_space(RATIONALS, [[2, 3], [5, 7]])):
+        w = space.weights(4)
+        mat = braid_word(space, 4, [1, 2, 3, 1])
+        rows, cols = (mat.num != 0).nonzero()
+        assert (w[rows] == w[cols]).all()

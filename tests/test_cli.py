@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from braidrank import RATIONALS, Matrix, Subspace, cli, free_truncated, ideal_saturate, make_flip, tower
+from braidrank import (
+    GF,
+    RATIONALS,
+    Matrix,
+    Subspace,
+    cli,
+    free_truncated,
+    ideal_saturate,
+    make_diagonal,
+    make_flip,
+    tower,
+)
 from braidrank.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -433,3 +446,35 @@ def test_benchmark_tracer_selftest_passes():
         [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# sha256 of json.dumps(cli._quotient_relations_doc(run(space, D).final)),
+# recorded before relation spaces were eliminated one weight block at a
+# time; the A2 pair (5/2, -2/5) at D=8 takes the object-dtype path
+GOLDEN_RELATIONS = {
+    "flip n=3 D=6 QQ": (
+        lambda: make_flip(3, RATIONALS),
+        6,
+        "8d879cbf178a9210d3073bb17533f3ff905ab7b23bd1f8b62f76bbe4af40f558",
+    ),
+    "A2 (5/2,-2/5) D=8 QQ": (
+        lambda: make_diagonal(
+            RATIONALS, Matrix.from_scalars(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]])
+        ),
+        8,
+        "bb96b46ead6181e81cb2e013e4673f73189302e115b5c6e04cfc5d9493770b6f",
+    ),
+    "flip n=2 D=8 GF(5)": (
+        lambda: make_flip(2, GF(5)),
+        8,
+        "ba6eafb676ed8436e08fe5d334c6484b881114a220933f9131689734207e5a5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RELATIONS))
+def test_relation_documents_are_golden(name):
+    make_space, cutoff, digest = GOLDEN_RELATIONS[name]
+    final = tower.run(make_space(), cutoff).final
+    text = json.dumps(cli._quotient_relations_doc(final))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -18,7 +18,7 @@ from braidrank import (
     run,
 )
 
-from conftest import diagonal_space, sym_dim, acceptance_braidings, witt
+from conftest import acceptance_braidings, conjugated_space, diagonal_space, sym_dim, witt
 
 
 def test_oracle_flip_n2_is_symmetric_algebra():
@@ -128,13 +128,10 @@ def test_conjugated_braiding_exercises_dense_path():
     # a diagonal braiding conjugated by a unipotent change of basis:
     # Yang-Baxter is preserved but the matrix is no longer monomial, so the
     # dense lift machinery and the brute oracle's tuple expansion both run
-    from braidrank import Matrix, RATIONALS, make_from_matrix
+    from braidrank import RATIONALS
 
     base = diagonal_space(RATIONALS, [[2, 1], [1, 3]])
-    t = Matrix.from_scalars(RATIONALS, [[1, 1], [0, 1]])
-    t_inv = Matrix.from_scalars(RATIONALS, [[1, -1], [0, 1]])
-    c = t.kron(t) @ base.c @ t_inv.kron(t_inv)
-    space = make_from_matrix(2, RATIONALS, c)
+    space = conjugated_space()
     assert not space.is_monomial
     rep = run(space, 3)
     base_rep = run(base, 3)
