@@ -18,6 +18,8 @@ recomputed and overwritten.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -174,15 +176,28 @@ def dumps_report(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+class _Memo(dict):
+    """``fn`` of each distinct key, computed once: a basis has few distinct entries."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _scalar_text(field, den):
+    """The scalar string of a basis entry, given its numerator over ``den``."""
+    if field.is_rationals:
+        return lambda v: format_scalar(Fraction(v, den), field)
+    return lambda v: format_scalar(v, field)
+
+
 def _subspace_doc(sub: Subspace, field) -> list:
-    # a basis has few distinct entries: format each distinct numerator once
-    mat = sub.basis
-    values, where = np.unique(mat.num, return_inverse=True)
-    text = np.array(
-        [format_scalar(Fraction(int(v), mat.den) if field.is_rationals else int(v), field) for v in values],
-        dtype=object,
-    )
-    return text[where].reshape(mat.shape).tolist()
+    texts = _Memo(_scalar_text(field, sub.basis.den))
+    return [list(map(texts.__getitem__, row)) for row in sub.basis.num.tolist()]
 
 
 def _subspace_from_doc(field, ambient, rows, labels) -> Subspace:
@@ -235,14 +250,20 @@ def _cache_key(spec: JobSpec, space: BraidedSpace) -> str:
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
+    """Write the text ``chunks`` to ``path.tmp``, then rename it over ``path``.
+
+    On any failure, a write error or one raised while producing the chunks,
+    the ``.tmp`` file is removed and ``path`` keeps its earlier content.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
     try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
-    except OSError:
-        os.remove(tmp)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise
 
 
@@ -281,13 +302,84 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(_is_int(v) for v in value)
 
 
+# The cache document is json.dumps(doc, indent=1) + "\n", written as a stream
+# of chunks instead of one string: the relation rows of every stage are
+# formatted one row at a time, at the depth they take in the document.
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_ROW_SEP = ",\n     "  # between the entries of a relation row, at depth 5
+
+
+def _json_chunks(parts, depth: int, brackets: str = "[]"):
+    """A JSON list (or object) ``depth`` levels deep, in chunks; each part
+    yields the chunks of one item."""
+    pad = "\n" + " " * (depth + 1)
+    empty = True
+    for part in parts:
+        yield (brackets[0] if empty else ",") + pad
+        yield from part
+        empty = False
+    yield brackets if empty else "\n" + " " * depth + brackets[1]
+
+
+def _row_text(row, texts) -> str:
+    """One nonempty relation row, at depth 4; ``texts`` maps an entry to its JSON text."""
+    return "[\n     " + _ROW_SEP.join(map(texts.__getitem__, row)) + "\n    ]"
+
+
+def _stage_chunks(degrees):
+    """One entry of ``stage_relations``, from (key, rows, texts) per degree."""
+
+    def degree(key, rows, texts):
+        yield _json_str(key) + ": "
+        yield from _json_chunks(([_row_text(row, texts)] for row in rows), 3)
+
+    return _json_chunks((degree(*item) for item in degrees), 2, "{}")
+
+
+def _computed_stage_chunks(rels: list[Subspace]):
+    """A stage's relation bases R_1..R_D, as :func:`_quotient_relations_doc` writes them."""
+
+    def degree(d, sub):
+        scalar = _scalar_text(sub.basis.field, sub.basis.den)
+        return str(d), (row.tolist() for row in sub.basis.num), _Memo(lambda v: _json_str(scalar(v)))
+
+    return _stage_chunks(degree(d, sub) for d, sub in enumerate(rels, 1))
+
+
+def _is_text_grid(stage) -> bool:
+    """True when ``stage`` has the shape of a relations document: {key: [[str, ...]]}."""
+    return type(stage) is dict and all(
+        type(rows) is list and all(type(row) is list and row and set(map(type, row)) == {str} for row in rows)
+        for rows in stage.values()
+    )
+
+
+def _loaded_stage_chunks(stage):
+    """A stage carried over from the document a run resumed from."""
+    if _is_text_grid(stage):
+        yield from _stage_chunks((key, rows, _Memo(_json_str)) for key, rows in stage.items())
+    else:
+        # any other JSON value: its own indent=1 text, two levels deep
+        yield json.dumps(stage, indent=1).replace("\n", "\n  ")
+
+
+def _document_chunks(head: dict, stages):
+    """``json.dumps({**head, "stage_relations": ...}, indent=1) + "\n"`` in chunks."""
+    # reopen the head object before its closing "\n}"
+    yield json.dumps(head, indent=1)[:-2] + ',\n "stage_relations": '
+    yield from _json_chunks(stages, 1)
+    yield "\n}\n"
+
+
 class _StageCache:
     """One cache document: the resume point it holds, and its rewrite."""
 
     def __init__(self, path: str):
         self.path = path
         self.doc = None
-        self.relation_docs: list = []
+        # a call that yields the chunks of each stage's relations: those
+        # carried over from the document, then those of each new stage
+        self.stages: list = []
 
     def resume_point(self, space: BraidedSpace, cutoff: int, max_iter: int):
         """The cached stages usable under ``max_iter`` and the quotient after them.
@@ -320,24 +412,25 @@ class _StageCache:
         # document, and a failed re-check raises a BraidrankError
         except (OSError, ValueError, KeyError, TypeError, AttributeError, BraidrankError):
             return [], free_truncated(space, cutoff)
-        self.doc, self.relation_docs = doc, doc_rels[:usable]
+        self.doc = doc
+        self.stages = [functools.partial(_loaded_stage_chunks, rels) for rels in doc_rels[:usable]]
         return stages, q
 
     def record(self, q: GradedQuotient, rep: StageReport):
-        self.relation_docs.append(_quotient_relations_doc(q))
+        rels = [q.relation(d) for d in range(1, q.cutoff + 1)]
+        self.stages.append(functools.partial(_computed_stage_chunks, rels))
 
     def save(self, report: RankReport, max_iter: int):
         # rewrite only when new stages were computed, so a shorter request
         # never truncates a longer cached run
-        if self.doc is not None and len(self.relation_docs) <= len(self.doc["stage_relations"]):
+        if self.doc is not None and len(self.stages) <= len(self.doc["stage_relations"]):
             return
-        payload = {
+        head = {
             "version": 1,
             "max_iter": max(max_iter, self.doc["max_iter"] if self.doc else 0),
             "report": rank_report_doc(report),
-            "stage_relations": self.relation_docs,
         }
-        _atomic_write(self.path, json.dumps(payload, indent=1) + "\n")
+        _atomic_write(self.path, _document_chunks(head, (stage() for stage in self.stages)))
 
 
 def _run_tower_cached(
@@ -507,7 +600,7 @@ def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
     text = dumps_report(doc)
     if report_path:
         try:
-            _atomic_write(report_path, text)
+            _atomic_write(report_path, (text,))
         except OSError as exc:
             _fail_output(exc)
     if as_json:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import errno
+import functools
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -472,9 +476,153 @@ GOLDEN_RELATIONS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _golden_run(name):
+    """The tower report of a GOLDEN_RELATIONS space and the quotient of each stage."""
+    make_space, cutoff, _ = GOLDEN_RELATIONS[name]
+    quotients = []
+    report = tower.run(make_space(), cutoff, on_stage=lambda q, rep: quotients.append(q))
+    return report, quotients
+
+
 @pytest.mark.parametrize("name", list(GOLDEN_RELATIONS))
 def test_relation_documents_are_golden(name):
-    make_space, cutoff, digest = GOLDEN_RELATIONS[name]
-    final = tower.run(make_space(), cutoff).final
-    text = json.dumps(cli._quotient_relations_doc(final))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    report, _ = _golden_run(name)
+    text = json.dumps(cli._quotient_relations_doc(report.final))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RELATIONS[name][2]
+
+
+def _saved_document(path, report, quotients, max_iter):
+    """The text ``_StageCache.save`` writes for ``quotients``, one per stage."""
+    cache = cli._StageCache(str(path))
+    for q in quotients:
+        cache.record(q, None)
+    cache.save(report, max_iter)
+    return path.read_text()
+
+
+def _dumped_document(report, quotients, max_iter):
+    payload = {
+        "version": 1,
+        "max_iter": max_iter,
+        "report": cli.rank_report_doc(report),
+        "stage_relations": [cli._quotient_relations_doc(q) for q in quotients],
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RELATIONS))
+def test_streamed_cache_document_is_json_dumps(tmp_path, name):
+    report, quotients = _golden_run(name)
+    cutoff = GOLDEN_RELATIONS[name][1]
+    streamed = _saved_document(tmp_path / "doc.json", report, quotients, cutoff)
+    assert streamed == _dumped_document(report, quotients, cutoff)
+
+
+def test_streamed_cache_document_with_empty_parts(tmp_path):
+    # no stage at all, then the free object: every degree holds "d": []
+    space = make_flip(2, RATIONALS)
+    report = tower.run(space, 3, 0)
+    assert report.stages == []
+    assert _saved_document(tmp_path / "none.json", report, [], 0) == _dumped_document(report, [], 0)
+    free = free_truncated(space, 3)
+    streamed = _saved_document(tmp_path / "free.json", report, [free], 1)
+    assert streamed == _dumped_document(report, [free], 1)
+    assert json.loads(streamed)["stage_relations"] == [{"1": [], "2": [], "3": []}]
+
+
+def _cache_document(cache):
+    (name,) = os.listdir(cache)
+    return Path(cache, name).read_text()
+
+
+def test_resumed_cache_document_is_the_cold_one(tmp_path):
+    # the stage loaded on resume is written out again next to the new one
+    cold, resumed = str(tmp_path / "cold"), str(tmp_path / "resumed")
+    invoke(["rank", "--json", "--cache", cold], doc=FLIP2)
+    invoke(["rank", "--json", "--cache", resumed, "--max-iter", "1"], doc=FLIP2)
+    res = invoke(["rank", "--json", "--cache", resumed], doc=FLIP2)
+    assert res.exit_code == 0
+    text = _cache_document(resumed)
+    assert len(json.loads(text)["stage_relations"]) == 2
+    assert text == _cache_document(cold) == json.dumps(json.loads(text), indent=1) + "\n"
+
+
+A2_D4 = {
+    "field": {"kind": "rationals"},
+    "dimension": 2,
+    "braiding": {"kind": "diagonal", "q": [["-1", "1"], ["-1", "-1"]]},
+    "degree_cutoff": 4,
+}
+
+
+def _entries_not_strings(rels):
+    rels["2"] = [["0", 1, None, ["0"]]]
+
+
+def _rows_not_a_list(rels):
+    rels["3"] = {"rows": "0"}
+
+
+def _row_not_a_list(rels):
+    rels["4"] = ["0"]
+
+
+def _empty_row(rels):
+    rels["4"] = [[]]
+
+
+@pytest.mark.parametrize("corrupt", [_entries_not_strings, _rows_not_a_list, _row_not_a_list, _empty_row])
+def test_carried_stage_of_any_shape_is_written_back_as_json_dumps(tmp_path, corrupt):
+    # only the last usable stage is re-checked on resume: an earlier one is
+    # carried over as it was read, whatever its shape
+    cache = str(tmp_path / "cache")
+    invoke(["rank", "--json", "--cache", cache, "--max-iter", "2"], doc=A2_D4)
+    (name,) = os.listdir(cache)
+    doc = json.loads(_cache_document(cache))
+    assert len(doc["stage_relations"]) == 2
+    corrupt(doc["stage_relations"][0])
+    Path(cache, name).write_text(json.dumps(doc))
+    res = invoke(["rank", "--json", "--cache", cache], doc=A2_D4)
+    assert res.exit_code == 0
+    text = _cache_document(cache)
+    written = json.loads(text)
+    assert len(written["stage_relations"]) == 3
+    assert written["stage_relations"][0] == doc["stage_relations"][0]
+    assert text == json.dumps(written, indent=1) + "\n"
+
+
+def test_cache_save_traces_less_memory_than_it_writes(tmp_path):
+    path = tmp_path / "doc.json"
+    cache = cli._StageCache(str(path))
+    report = tower.run(make_flip(2, RATIONALS), 8, on_stage=cache.record)
+    tracemalloc.start()
+    try:
+        cache.save(report, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < path.stat().st_size
+
+
+def test_failed_cache_write_keeps_the_previous_document(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    invoke(["rank", "--json", "--cache", cache, "--max-iter", "1"], doc=FLIP2)
+    before = _cache_document(cache)
+    atomic_write = cli._atomic_write
+
+    def disk_full_midway(path, chunks):
+        def some_chunks_then_enospc():
+            yield from itertools.islice(chunks, 3)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        atomic_write(path, some_chunks_then_enospc())
+
+    monkeypatch.setattr(cli, "_atomic_write", disk_full_midway)
+    res = invoke(["rank", "--json", "--cache", cache], doc=FLIP2)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write output:")
+    assert not any(f.endswith(".tmp") for f in os.listdir(cache))
+    assert _cache_document(cache) == before
