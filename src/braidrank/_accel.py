@@ -1,19 +1,22 @@
 """Hot integer kernels and the one rule for exact integer arithmetic.
 
-Every kernel is vectorised numpy on int64 arrays while that is provably
-exact, and on object-dtype (arbitrary precision) arrays otherwise.  One
-rule makes that choice for the whole package: :func:`exact` keeps int64
-operands when the caller's bound on every intermediate value is below
-2**63, and promotes them all to object dtype when it is not, or when any
-operand already is object dtype.  Gauss-Jordan elimination over Q checks
-the rows each pivot step wrote; once one exceeds :data:`LIMIT`, the work
-arrays turn into object dtype and the elimination continues from that
-pivot.  The int64 and object paths give the same values.
+Every kernel is one vectorised numpy code path that runs on int64 arrays
+while that is provably exact, and unchanged on object-dtype (arbitrary
+precision) arrays otherwise.  One rule makes that choice for the whole
+package: :func:`exact` keeps int64 operands when the caller's bound on
+every intermediate value is below 2**63, and promotes them all to object
+dtype when it is not, or when any operand already is object dtype.  The
+kernels modulo a prime p ask it with the bound p**2.  Gauss-Jordan
+elimination over Q checks the rows each pivot step wrote; once one exceeds
+:data:`LIMIT`, the work arrays turn into object dtype and the elimination
+continues from that pivot.  The int64 and object paths give the same values.
 
 All kernels are sequential; repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 import numpy as np
 
@@ -63,16 +66,6 @@ def exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 
-def gcd_int(a: int, b: int) -> int:
-    if a < 0:
-        a = -a
-    if b < 0:
-        b = -b
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def rref_frac(num: np.ndarray):
     """Rational rref of an integer matrix (row denominators are internal).
 
@@ -80,7 +73,7 @@ def rref_frac(num: np.ndarray):
     row i of the result is ``numerators[i] / row_dens[i]``.  The input is
     not modified.  Before a pivot step on int64 work whose entries or row
     denominators exceed LIMIT, the work turns into object dtype and the
-    elimination continues from that pivot.
+    elimination continues from that pivot; the same lines run on both.
     """
     rows, cols = num.shape
     work = num.astype(object) if num.dtype == object else np.array(num, dtype=np.int64, order="C")
@@ -88,7 +81,7 @@ def rref_frac(num: np.ndarray):
     # bound of the rows the last pivot step eliminated; every other row only
     # moved or shrank since it was last bounded, so testing these rows makes
     # the same decision as a scan of the whole matrix
-    grown = maxabs(work) if work.dtype != object else 0
+    grown = maxabs(work)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -97,9 +90,8 @@ def rref_frac(num: np.ndarray):
         nz = np.flatnonzero(work[r:, c])
         if nz.size == 0:
             continue
-        if grown > LIMIT:
+        if grown > LIMIT and work.dtype != object:
             work, dens = work.astype(object), dens.astype(object)
-        obj = work.dtype == object
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
@@ -109,15 +101,8 @@ def rref_frac(num: np.ndarray):
             work[r] = -work[r]
             piv = -piv
         dens[r] = piv
-        if obj:
-            g = 0
-            for v in work[r]:
-                g = gcd_int(g, int(v))
-                if g == 1:
-                    break
-        else:
-            g = int(np.gcd.reduce(np.abs(work[r])))
-        g = gcd_int(g, int(dens[r]))
+        # np.gcd is nonnegative on int64 and object entries alike
+        g = gcd(int(np.gcd.reduce(work[r])), int(piv))
         if g > 1:
             work[r] = work[r] // g
             dens[r] = dens[r] // g
@@ -129,21 +114,10 @@ def rref_frac(num: np.ndarray):
         if rest.size:
             upd = work[rest] * dr - np.outer(f[rest], work[r])
             upd_dens = dens[rest] * dr
-            if obj:
-                for k in range(rest.size):
-                    g = int(upd_dens[k])
-                    for v in upd[k]:
-                        g = gcd_int(g, int(v))
-                        if g == 1:
-                            break
-                    if g > 1:
-                        upd[k] = upd[k] // g
-                        upd_dens[k] = upd_dens[k] // g
-            else:
-                gs = np.gcd(np.gcd.reduce(np.abs(upd), axis=1), upd_dens)
-                upd //= gs[:, None]
-                upd_dens //= gs
-                grown = max(maxabs(upd), maxabs(upd_dens))
+            gs = np.gcd(np.gcd.reduce(upd, axis=1), upd_dens)
+            upd //= gs[:, None]
+            upd_dens //= gs
+            grown = max(maxabs(upd), maxabs(upd_dens))
             work[rest] = upd
             dens[rest] = upd_dens
         pivots.append(c)
@@ -153,14 +127,18 @@ def rref_frac(num: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # Gauss-Jordan modulo a prime
+#
+# Residues lie in 0..p-1, so every product and every update of one pivot
+# step is below p**2 in absolute value: exact(p * p, ...) picks the lane.
 # ---------------------------------------------------------------------------
 
-# int64 products stay safe while p < 2**31.
-MOD_INT64_MAX = 1 << 31
 
+def rref_mod(num: np.ndarray, p: int):
+    """Reduced row echelon form of ``num`` modulo prime ``p`` (copy).
 
-def _rref_mod_generic(a, p):
-    """Vectorised elimination mod p; a is int64 (p < 2**31) or object."""
+    Returns ``(reduced, pivots)``; entries canonical in ``0..p-1``.
+    """
+    a = exact(p * p, num)[0].copy()
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -181,19 +159,7 @@ def _rref_mod_generic(a, p):
         a %= p
         pivots.append(c)
         r += 1
-    return pivots
-
-
-def rref_mod(num: np.ndarray, p: int):
-    """Reduced row echelon form of ``num`` modulo prime ``p`` (copy).
-
-    Returns ``(reduced, pivots)``; entries canonical in ``0..p-1``.
-    """
-    if p < MOD_INT64_MAX and num.dtype != object:
-        work = np.ascontiguousarray(num, dtype=np.int64).copy()
-        return work, _rref_mod_generic(work, p)
-    work = num.astype(object)
-    return work, _rref_mod_generic(work, p)
+    return a, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +169,19 @@ def rref_mod(num: np.ndarray, p: int):
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact ``a @ b mod p`` for canonical residue matrices."""
-    if p < MOD_INT64_MAX and a.dtype != object and b.dtype != object:
-        # margin of p keeps the running "partial product plus carry" in int64
-        chunk = max(1, (2**63 - 1 - p) // max(1, (p - 1) * (p - 1)))
-        k = a.shape[1]
-        if k <= chunk:
-            return (a @ b) % p
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for s in range(0, k, chunk):
-            out = (out + a[:, s : s + chunk] @ b[s : s + chunk]) % p
-        return out
-    return np.dot(a.astype(object), b.astype(object)) % p
+    a, b = exact(p * p, a, b)
+    if a.dtype == object:
+        return np.dot(a, b) % p
+    # each product is below p**2 < 2**63; a margin of p keeps the running
+    # "partial product plus carry" of a chunk in int64
+    chunk = max(1, (2**63 - 1 - p) // max(1, (p - 1) * (p - 1)))
+    k = a.shape[1]
+    if k <= chunk:
+        return (a @ b) % p
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, k, chunk):
+        out = (out + a[:, s : s + chunk] @ b[s : s + chunk]) % p
+    return out
 
 
 def matmul_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:

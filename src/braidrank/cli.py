@@ -89,6 +89,8 @@ def _is_int(value) -> bool:
 def _parse_scalar_grid(field, grid, what):
     if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
         raise ParseError(f"{what} must be a list of lists of scalar strings")
+    if len({len(r) for r in grid}) > 1:
+        raise ParseError(f"{what} has ragged rows")
     try:
         return Matrix.from_scalars(field, grid)
     except (ValueError, TypeError) as exc:

@@ -43,6 +43,9 @@ MAX_PRIME = 1 << 61
 # rule only, the working dtype of each operation is chosen by _accel.exact.
 _INT64_STORE = 1 << 62
 
+# the Python int of each entry of an object array, as a new object array
+_to_int = np.frompyfunc(int, 1, 1)
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the 2**61 field cap."""
@@ -129,10 +132,16 @@ def coerce_scalar(value, field: FieldSpec) -> Scalar:
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
-    """Parse the canonical text form: "a/b" or "a" over Q, decimal over F_p."""
+    """Parse the canonical text form: "a/b" or "a" over Q, decimal over F_p.
+
+    An exponent ("1e5") is refused: Fraction would expand 10**exponent
+    before any size check, so a short text could take unbounded time.
+    """
     text = text.strip()
     try:
         if field.is_rationals:
+            if "e" in text.lower():
+                raise ValueError("exponent form not accepted")
             return Fraction(text)
         return int(text) % field.p
     except (ValueError, ZeroDivisionError) as exc:
@@ -146,16 +155,7 @@ def format_scalar(value: Scalar, field: FieldSpec) -> str:
 
 def _content(num: np.ndarray) -> int:
     """gcd of all entries (0 for the zero matrix)."""
-    if num.size == 0:
-        return 0
-    if num.dtype == object:
-        g = 0
-        for x in num.flat:
-            g = gcd(g, abs(x))
-            if g == 1:
-                break
-        return g
-    return int(np.gcd.reduce(np.abs(num), axis=None))
+    return int(np.gcd.reduce(num, axis=None))
 
 
 class Matrix:
@@ -201,14 +201,8 @@ class Matrix:
             num = (num if num.dtype == object else num.astype(np.int64)) % field.p
         if num.dtype == object and num.size and np.abs(num).max() < _INT64_STORE:
             num = num.astype(np.int64)
-        if num.dtype == object:
-            out = np.empty(num.shape, dtype=object)
-            for i in range(num.shape[0]):
-                for j in range(num.shape[1]):
-                    out[i, j] = int(num[i, j])
-            num = out
-        else:
-            num = np.ascontiguousarray(num, dtype=np.int64).copy()
+        # a new array either way; object entries become Python ints
+        num = _to_int(num) if num.dtype == object else np.array(num, dtype=np.int64, order="C")
         num.setflags(write=False)
         return Matrix(field, num, int(den), _token=_BUILD)
 
@@ -223,17 +217,13 @@ class Matrix:
         for row in vals:
             if len(row) != c:
                 raise DimensionMismatch("ragged rows")
-        if field.is_rationals:
-            for row in vals:
-                for x in row:
-                    den = den * x.denominator // gcd(den, x.denominator)
-            for i, row in enumerate(vals):
-                for j, x in enumerate(row):
-                    num[i, j] = x.numerator * (den // x.denominator)
-        else:
-            for i, row in enumerate(vals):
-                for j, x in enumerate(row):
-                    num[i, j] = x
+        # a residue is an int, whose denominator is 1
+        for row in vals:
+            for x in row:
+                den = den * x.denominator // gcd(den, x.denominator)
+        for i, row in enumerate(vals):
+            for j, x in enumerate(row):
+                num[i, j] = x.numerator * (den // x.denominator)
         return Matrix.build(field, num, den)
 
     @staticmethod
@@ -251,7 +241,7 @@ class Matrix:
         return (self.rows, self.cols)
 
     def entry(self, i: int, j: int) -> Scalar:
-        v = int(self.num[i, j]) if self.num.dtype != object else self.num[i, j]
+        v = int(self.num[i, j])
         if self.field.is_rationals:
             return Fraction(v, self.den)
         return v
@@ -260,8 +250,6 @@ class Matrix:
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        if self.num.dtype == object:
-            return all(x == 0 for x in self.num.flat)
         return not self.num.any()
 
     def __eq__(self, other):
@@ -289,16 +277,13 @@ class Matrix:
         self._check_field(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        if self.field.is_rationals:
-            da, db = self.den, other.den
-            g = gcd(da, db)
-            L = da // g * db
-            ma, mb = L // da, L // db
-            bound = max(_accel.maxabs(self.num), 1) * ma + max(_accel.maxabs(other.num), 1) * mb
-            a, b = _accel.exact(bound, self.num, other.num)
-            num = a * ma + b * mb
-            return Matrix.build(self.field, num, L)
-        return Matrix.build(self.field, self.num + other.num)
+        # over F_p both denominators are 1 and build reduces the sum mod p
+        da, db = self.den, other.den
+        L = da // gcd(da, db) * db
+        ma, mb = L // da, L // db
+        bound = max(_accel.maxabs(self.num), 1) * ma + max(_accel.maxabs(other.num), 1) * mb
+        a, b = _accel.exact(bound, self.num, other.num)
+        return Matrix.build(self.field, a * ma + b * mb, L)
 
     def __neg__(self) -> "Matrix":
         return Matrix.build(self.field, -self.num, self.den)
@@ -308,9 +293,8 @@ class Matrix:
 
     def scale(self, s) -> "Matrix":
         s = coerce_scalar(s, self.field)
-        top, bottom = (s.numerator, s.denominator) if self.field.is_rationals else (s, 1)
-        (a,) = _accel.exact(max(_accel.maxabs(self.num), 1) * abs(top), self.num)
-        return Matrix.build(self.field, a * top, self.den * bottom)
+        (a,) = _accel.exact(max(_accel.maxabs(self.num), 1) * abs(s.numerator), self.num)
+        return Matrix.build(self.field, a * s.numerator, self.den * s.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -325,10 +309,7 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index convention is big-endian (row-major)."""
         self._check_field(other)
-        if self.field.is_rationals:
-            return Matrix.build(self.field, _accel.kron_int(self.num, other.num), self.den * other.den)
-        num = _accel.kron_int(self.num, other.num) % self.field.p
-        return Matrix.build(self.field, num)
+        return Matrix.build(self.field, _accel.kron_int(self.num, other.num), self.den * other.den)
 
     def transpose(self) -> "Matrix":
         return Matrix.build(self.field, self.num.T, self.den)
@@ -372,8 +353,8 @@ def _reduced(field: FieldSpec, work: np.ndarray, dens, rank: int) -> Matrix:
     for i in range(rank):
         d = int(dens[i])
         lcm = lcm // gcd(lcm, d) * d
-    if lcm == 1 and work.dtype != object:
-        return Matrix.build(field, work, 1)
+    if lcm == 1:
+        return Matrix.build(field, work)
     factors = np.empty(work.shape[0], dtype=object)
     for i in range(work.shape[0]):
         # rows below the rank are zero; scale them by 1
@@ -393,15 +374,13 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
             raise FieldMismatch(f"{field} vs {m.field}")
         if m.cols != cols:
             raise DimensionMismatch("widths differ")
-    if field.is_rationals:
-        den = 1
-        for m in mats:
-            den = den // gcd(den, m.den) * m.den
-        factors = [den // m.den for m in mats]
-        bound = max(max(_accel.maxabs(m.num), 1) * f for m, f in zip(mats, factors))
-        parts = _accel.exact(bound, *(m.num for m in mats))
-        return Matrix.build(field, np.vstack([a * f if f != 1 else a for a, f in zip(parts, factors)]), den)
-    return Matrix.build(field, np.vstack([m.num for m in mats]))
+    den = 1
+    for m in mats:
+        den = den // gcd(den, m.den) * m.den
+    factors = [den // m.den for m in mats]
+    bound = max(max(_accel.maxabs(m.num), 1) * f for m, f in zip(mats, factors))
+    parts = _accel.exact(bound, *(m.num for m in mats))
+    return Matrix.build(field, np.vstack([a * f if f != 1 else a for a, f in zip(parts, factors)]), den)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -515,7 +494,7 @@ def kernel_basis(mat: Matrix, labels=None) -> Subspace:
     num = np.zeros((free.size, mat.cols), dtype=red.num.dtype)
     num[range(free.size), free] = red.den
     num[:, list(pivots)] = -red.num[:, free].T
-    vectors = Matrix.build(field, num, red.den if field.is_rationals else 1)
+    vectors = Matrix.build(field, num, red.den)
     return Subspace.from_rows(vectors, labels)
 
 

@@ -307,12 +307,43 @@ def test_bad_integer_fields_exit_2(field, value):
     assert len(lines) == 1 and lines[0].startswith("parse error:")
 
 
+DIAG2 = {
+    "field": {"kind": "rationals"},
+    "dimension": 2,
+    "braiding": {"kind": "diagonal", "q": [["1", "1"], ["1", "1"]]},
+    "degree_cutoff": 5,
+}
+
+
+@pytest.mark.parametrize("command", ["rank", "check"])
+@pytest.mark.parametrize(
+    "braiding",
+    [
+        {"kind": "diagonal", "q": [["1", "1"], ["1"]]},
+        {"kind": "matrix", "entries": [["1", "0", "0", "0"]] * 3 + [["1", "0", "0"]]},
+        # Fraction would expand 10**100000 before any size check
+        {"kind": "diagonal", "q": [["1e100000", "1"], ["1", "1"]]},
+    ],
+    ids=["ragged_q", "ragged_entries", "exponent_scalar"],
+)
+def test_malformed_scalar_grids_exit_2(command, braiding):
+    res = invoke([command, "--json"], doc={**DIAG2, "braiding": braiding})
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error:")
+
+
 def _drop_hilbert(doc):
     del doc["report"]["stages"][0]["hilbert"]
 
 
 def _bad_scalar(doc):
     doc["stage_relations"][-1]["2"][0][0] = "1/x"
+
+
+def _exponent_scalar(doc):
+    doc["stage_relations"][-1]["2"][0][0] = "1e100000"
 
 
 def _relations_not_a_dict(doc):
@@ -343,6 +374,7 @@ def _breaks_only_the_coideal(doc):
     [
         _drop_hilbert,
         _bad_scalar,
+        _exponent_scalar,
         _relations_not_a_dict,
         _row_too_long,
         _breaks_ideal_closure,

@@ -30,6 +30,8 @@ from braidrank.exactlin import _weight_blocks, graded_matmul, vstack
 F5 = GF(5)
 F7 = GF(7)
 BIG_PRIME = 2305843009213693951  # 2**61 - 1, the largest admissible modulus
+# p**2 < 2**63: the F_p kernels run this prime above 2**31 in int64
+INT64_LANE_PRIME = 2147483659
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +75,23 @@ def reference_rref(rows, field):
 
 
 small_entries = st.integers(min_value=-9, max_value=9)
+# entries that put the int64 work of an elimination past LIMIT from the
+# first pivot, or that are stored as object arrays from the start
+HUGE_ENTRIES = st.sampled_from([_accel.LIMIT, _accel.LIMIT + 1, 10**20]).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+matrix_entries = st.one_of(small_entries, small_entries, HUGE_ENTRIES)
+
+
+def entry_grid(rows, cols):
+    return st.lists(st.lists(matrix_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
 @st.composite
 def small_matrix(draw, field):
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 5))
-    data = draw(
-        st.lists(
-            st.lists(small_entries, min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
+    data = draw(entry_grid(rows, cols))
     return Matrix.from_scalars(field, data), data
 
 
@@ -99,14 +105,54 @@ def test_rref_matches_reference_oracle_rationals(mat_data):
     assert red.scalar_rows() == ref
 
 
+MOD_P_FIELDS = [F5, GF(INT64_LANE_PRIME), GF(BIG_PRIME)]
+
+
 @settings(max_examples=120, deadline=None)
-@given(small_matrix(F5))
-def test_rref_matches_reference_oracle_mod_p(mat_data):
-    mat, data = mat_data
+@given(st.sampled_from(MOD_P_FIELDS).flatmap(lambda f: st.tuples(st.just(f), small_matrix(f))))
+def test_rref_matches_reference_oracle_mod_p(case):
+    field, (mat, data) = case
     red, pivots = rref(mat)
-    ref, ref_piv = reference_rref(data, F5)
+    ref, ref_piv = reference_rref(data, field)
     assert pivots == ref_piv
     assert red.scalar_rows() == ref
+
+
+def reference_values(field, data, den):
+    """The scalars of ``data / den`` as Fractions, or as residues mod p."""
+    if field.is_rationals:
+        return [[Fraction(x, den) for x in row] for row in data]
+    return [[x * pow(den, -1, field.p) % field.p for x in row] for row in data]
+
+
+@st.composite
+def arithmetic_case(draw):
+    """A field and matrices a, c (r x k) and b (k x m), with their scalars."""
+    field = draw(st.sampled_from([RATIONALS, RATIONALS] + MOD_P_FIELDS))
+    r, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    out = []
+    for rows, cols in ((r, k), (k, m), (r, k)):
+        data = draw(entry_grid(rows, cols))
+        # a denominator makes + and vstack bring two matrices to a common one
+        den = draw(st.sampled_from([1, 1, 2, 6, _accel.LIMIT + 1]))
+        values = reference_values(field, data, den)
+        out.append((Matrix.from_scalars(field, values), values))
+    return field, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(arithmetic_case())
+def test_arithmetic_matches_reference(case):
+    field, ((a, av), (b, bv), (c, cv)) = case
+    norm = (lambda x: x) if field.is_rationals else (lambda x: x % field.p)
+    assert (a @ b).scalar_rows() == [
+        [norm(sum(av[i][t] * bv[t][j] for t in range(len(bv)))) for j in range(len(bv[0]))] for i in range(len(av))
+    ]
+    assert (a + c).scalar_rows() == [[norm(x + y) for x, y in zip(u, v)] for u, v in zip(av, cv)]
+    assert a.kron(b).scalar_rows() == [
+        [norm(x * y) for x in u for y in v] for u in av for v in bv
+    ]
+    assert vstack([a, c]).scalar_rows() == av + cv
 
 
 @settings(max_examples=80, deadline=None)
