@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel, shuffle
-from .braiding import BraidedSpace, check_degree
+from .braiding import BraidedSpace, check_degree, on_slots
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
 from .exactlin import Matrix, Subspace, graded_matmul, hstack, kernel_basis, vstack
 
@@ -106,20 +106,6 @@ class GradedQuotient:
         num[cols, range(len(cols))] = 1
         return Matrix.build(self.space.field, num)
 
-    def reduce_to_coords(self, d: int, rows: Matrix) -> Matrix:
-        """pi_d of each row: its coordinates in the canonical basis of Q_d.
-
-        Only the non-pivot block x[N] - x[P] B[:, N] is computed; a row maps
-        to zero exactly when it lies in R_d.
-        """
-        rel = self.relation(d)
-        if rows.cols != rel.ambient_dim:
-            raise AmbientMismatch(f"vector length {rows.cols} vs ambient {rel.ambient_dim}")
-        if rel.dim == 0:
-            return rows
-        cols = self.quotient_columns(d)
-        return rows.take_columns(cols) - rows.take_columns(rel.pivots) @ rel.basis.take_columns(cols)
-
     def projection(self, d: int) -> Matrix:
         """pi_d as a q_d x n^d matrix: the identity on N, -B[:, N]^T on the pivots."""
         rel = self.relation(d)
@@ -133,17 +119,18 @@ class GradedQuotient:
         """(pi_i (x) pi_j) of each row of V^(x)(i+j), flattened Q_j-major.
 
         A row maps to zero exactly when it lies in :meth:`mixing_space`.
-        The rows are reshaped to (m n^i, n^j) and reduced by R_j, then the
-        Q_j axis moves to the front and the rows are reduced by R_i.
+        pi_j acts on the last j slots, then pi_i on the first i; a factor
+        whose R is 0 is the identity and is skipped.
         """
-        n, m, field = self.space.n, rows.rows, rows.field
+        n, m = self.space.n, rows.rows
         if rows.cols != n ** (i + j):
             raise AmbientMismatch(f"vector length {rows.cols} vs ambient {n ** (i + j)}")
-        right = self.reduce_to_coords(j, Matrix.build(field, rows.num.reshape(m * n**i, n**j), rows.den))
-        qj = right.cols
-        swapped = right.num.reshape(m, n**i, qj).transpose(0, 2, 1).reshape(m * qj, n**i)
-        left = self.reduce_to_coords(i, Matrix.build(field, swapped, right.den))
-        return Matrix.build(field, left.num.reshape(m, qj * left.cols), left.den)
+        out = rows.transpose()
+        for d, lead in ((j, n**i), (i, 1)):
+            if self.relation(d).dim:
+                out = on_slots(self.projection(d), lead, out)
+        qi, qj = self.qdim(i), self.qdim(j)
+        return Matrix.build(rows.field, out.num.reshape(qi, qj, m).transpose(2, 1, 0).reshape(m, qj * qi), out.den)
 
     @property
     def total_dim(self) -> int:
@@ -233,13 +220,14 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
     otherwise recorded on the quotient, so that directly saturated non-
     primitive generators still yield a usable graded algebra quotient.
     """
-    eye = Matrix.identity(q.space.field, q.space.n)
     for d in range(1, q.cutoff):
         rel = q.relation(d)
         if rel.dim == 0:
             continue
-        for mat in (rel.basis.kron(eye), eye.kron(rel.basis)):
-            if not q.reduce_to_coords(d + 1, mat).is_zero():
+        # the rows b (x) e_k, then e_k (x) b, of the basis b of R_d, times pi_{d+1}^T
+        proj = q.projection(d + 1).transpose()
+        for lead in (1, q.space.n):
+            if not on_slots(rel.basis, lead, proj).is_zero():
                 raise BialgebraInvariantError(
                     f"ideal closure fails from degree {d} to {d + 1}"
                 )

@@ -5,6 +5,9 @@ e_{i1} (x) ... (x) e_{id} of V^(x)d has index sum(i_k * n^(d-k)), i.e.
 big-endian lexicographic, and the braiding matrix is column-convention:
 c[(k,l),(i,j)] is the coefficient of e_k (x) e_l in c(e_i (x) e_j).
 
+Braid lifts to tensor powers apply c to two slots at a time through
+:func:`on_slots`; no Kronecker product with an identity is formed.
+
 Every constructed space is validated: c must be invertible and satisfy the
 braid equation (c(x)I)(I(x)c)(c(x)I) = (I(x)c)(c(x)I)(I(x)c) on V^(x)3,
 as an exact matrix identity.  Validation also decides whether c preserves
@@ -105,7 +108,7 @@ def permutation_tensor_matrix(field: FieldSpec, n: int, perm: Sequence[int]) -> 
 class BraidedSpace:
     """A validated braided vector space: dimension n plus a braiding matrix."""
 
-    __slots__ = ("field", "n", "c", "_monomial", "_graded", "_weights", "_delta_cache", "_sym_cache")
+    __slots__ = ("field", "n", "c", "_monomial", "_graded", "_weights", "_delta_cache")
 
     def __init__(self, field: FieldSpec, n: int, c: Matrix, _validated: bool = False):
         if not _validated:
@@ -117,7 +120,6 @@ class BraidedSpace:
         self._graded = _preserves_multidegree(n, c)
         self._weights: dict[int, np.ndarray] = {}
         self._delta_cache: dict = {}
-        self._sym_cache: dict = {}
 
     @property
     def is_monomial(self) -> bool:
@@ -190,11 +192,10 @@ def _validate(field: FieldSpec, n: int, c: Matrix) -> BraidedSpace:
         raise NotInvertible(f"braiding must be {n * n}x{n * n}, got {c.shape}")
     if c.rank() != n * n:
         raise NotInvertible("braiding matrix is singular")
-    eye = Matrix.identity(field, n)
-    c1 = c.kron(eye)
-    c2 = eye.kron(c)
-    lhs = c1 @ c2 @ c1
-    rhs = c2 @ c1 @ c2
+    # c_1 c_2 c_1 and c_2 c_1 c_2 on V^(x)3; c_1 has lead 1, c_2 lead n
+    lhs = rhs = Matrix.identity(field, n**3)
+    for a, b in ((1, n), (n, 1), (1, n)):
+        lhs, rhs = on_slots(c, a, lhs), on_slots(c, b, rhs)
     if lhs != rhs:
         diff = lhs - rhs
         col = int(np.flatnonzero((diff.num != 0).any(axis=0))[0])
@@ -252,10 +253,27 @@ def braid_generator(space: BraidedSpace, d: int, i: int) -> Matrix:
     return left.kron(space.c).kron(right)
 
 
-def braid_word(space: BraidedSpace, d: int, word: Sequence[int]) -> Matrix:
-    """Ordered product of braid generators, leftmost letter applied last."""
+def braid_word(space: BraidedSpace, d: int, word: Sequence[int], mat: Matrix | None = None) -> Matrix:
+    """Ordered product of braid generators times ``mat`` (default Id), leftmost letter applied last."""
     check_degree(d)
-    out = Matrix.identity(space.field, space.n**d)
+    out = Matrix.identity(space.field, space.n**d) if mat is None else mat
     for i in reversed(list(word)):
-        out = braid_generator(space, d, i) @ out
+        if not 1 <= i <= d - 1:
+            raise IndexOutOfRange(f"generator index {i} outside 1..{d - 1}")
+        out = on_slots(space.c, space.n ** (i - 1), out)
     return out
+
+
+def on_slots(op: Matrix, lead: int, mat: Matrix) -> Matrix:
+    """(I_lead (x) op (x) I) @ mat: the rows of ``mat`` split as (lead, op.cols, trail).
+
+    The op.cols axis moves to the front for one ``Matrix @`` and back, so
+    the product's dtype follows the same rule as every other.
+    """
+    (rows, cols), k, r = mat.shape, op.cols, op.rows
+    trail = rows // (lead * k)
+    # explicit sizes: any of them may be 0
+    front = mat.num.reshape(lead, k, trail * cols).transpose(1, 0, 2).reshape(k, lead * trail * cols)
+    prod = op @ Matrix.build(mat.field, front, mat.den)
+    back = prod.num.reshape(r, lead, trail * cols).transpose(1, 0, 2).reshape(lead * r * trail, cols)
+    return Matrix.build(mat.field, back, prod.den)

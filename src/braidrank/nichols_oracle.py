@@ -26,12 +26,13 @@ def nichols_truncation(space: BraidedSpace, cutoff: int) -> GradedQuotient:
 
     The relation family R_d = ker(symmetrizer_d) is built degree by degree
     and then passed through the full ideal-closure and coideal re-checks,
-    which double as a deep cross-check of the coproduct convention.
+    which double as a deep cross-check of the coproduct convention.  S_d
+    preserves the weight classes of c, so its kernel is found class by class.
     """
     if cutoff < 1:
         raise DegreeCap("cutoff must be at least 1")
     check_degree(cutoff)
-    rels = [kernel_basis(symmetrizer(space, d)) for d in range(1, cutoff + 1)]
+    rels = [kernel_basis(symmetrizer(space, d), space.weights(d)) for d in range(1, cutoff + 1)]
     q = GradedQuotient(space, cutoff, rels, _validated=True)
     _validate_quotient(q)
     return q

@@ -13,10 +13,9 @@ terms (targets, numerators) over one denominator; any other braiding keeps
 a dense matrix.
 
 The quantum symmetrizer S_d, the sum of the positive lifts of all of S_d,
-is the independent oracle for the tower.  It is built from the reference
-generators of :mod:`braidrank.braiding` by the factorization
+is the independent oracle for the tower.  It unrolls the factorization
 S_d = (S_{d-1} (x) Id) T_d, T_d = Id + c_{d-1}(Id + c_{d-2}(... (Id + c_1)))
-(Flores de Chela-Green 2001), so it shares no code with the recursion.
+(Flores de Chela-Green 2001) into slot products: no recursion is shared.
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from ._accel import exact, maxabs
-from .braiding import (
-    BraidedSpace,
-    braid_generator,
-    braid_word,
-    check_degree,
-    lexmin_reduced_word,
-)
+from .braiding import BraidedSpace, braid_word, check_degree, lexmin_reduced_word, on_slots
 from .errors import DegreeCap
 from .exactlin import FieldSpec, Matrix, Scalar, coerce_scalar
 
@@ -86,9 +79,9 @@ def _monomial_lift(space: BraidedSpace, d: int, word):
     return tgt, num
 
 
-def _dense_lift(space: BraidedSpace, d: int, word) -> Matrix:
-    """Dense lift of a braid word (the name the benchmark tracer counts)."""
-    return braid_word(space, d, word)
+def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix) -> Matrix:
+    """Dense lift of a braid word times ``mat`` (the name the benchmark tracer counts)."""
+    return braid_word(space, d, word, mat)
 
 
 def _monomial_delta(space: BraidedSpace, i: int, j: int):
@@ -148,7 +141,7 @@ def delta_component(space: BraidedSpace, i: int, j: int) -> Matrix:
         out = Matrix.identity(space.field, space.n**d)
         if i and j:
             eye = Matrix.identity(space.field, space.n)
-            moved = _dense_lift(space, d, range(i, d)) @ delta_component(space, i - 1, j).kron(eye)
+            moved = _dense_lift(space, d, range(i, d), delta_component(space, i - 1, j).kron(eye))
             out = delta_component(space, i, j - 1).kron(eye) + moved
         space._delta_cache[(i, j)] = out
     return out
@@ -156,16 +149,13 @@ def delta_component(space: BraidedSpace, i: int, j: int) -> Matrix:
 
 def symmetrizer(space: BraidedSpace, d: int) -> Matrix:
     """Quantum symmetrizer: sum of positive braid lifts of all of S_d."""
-    cached = space._sym_cache.get(d)
-    if cached is not None:
-        return cached
     check_degree(d)
-    out = eye = Matrix.identity(space.field, space.n**d)
-    if d > 0:
-        for k in range(1, d):
-            out = eye + braid_generator(space, d, k) @ out
-        out = symmetrizer(space, d - 1).kron(Matrix.identity(space.field, space.n)) @ out
-    space._sym_cache[d] = out
+    out = Matrix.identity(space.field, space.n**d)
+    for k in range(d, 1, -1):
+        # out <- (T_k (x) Id) out, with T_k x = x + c_{k-1}(x + ... (x + c_1 x))
+        x = out
+        for i in range(1, k):
+            out = x + on_slots(space.c, space.n ** (i - 1), out)
     return out
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrank import (
     GF,
@@ -23,14 +25,16 @@ from braidrank import (
     make_flip,
     make_from_matrix,
 )
+from braidrank._accel import LIMIT
 from braidrank.braiding import (
     inversions,
     invert_perm,
     lexmin_reduced_word,
+    on_slots,
     permutation_tensor_matrix,
 )
 
-from conftest import conjugated_space, diagonal_space, jordan_space
+from conftest import acceptance_braidings, conjugated_space, diagonal_space, jordan_space
 
 
 def test_flip_n1_is_identity():
@@ -147,6 +151,48 @@ def test_braid_word_empty_and_single():
     space = make_flip(2, RATIONALS)
     assert braid_word(space, 3, []) == Matrix.identity(RATIONALS, 8)
     assert braid_word(space, 2, [1]) == space.c
+
+
+def test_single_letter_words_are_the_generators():
+    spaces = [space for _, space in acceptance_braidings()] + [jordan_space(), conjugated_space()]
+    for space in spaces:
+        for d in range(2, 5):
+            for i in range(1, d):
+                assert braid_word(space, d, (i,)) == braid_generator(space, d, i), (space, d, i)
+    with pytest.raises(IndexOutOfRange):
+        braid_word(spaces[0], 3, (1, 3))
+
+
+@st.composite
+def slot_case(draw):
+    """op (r x k), lead, and mat with lead * k * trail rows; any of r, trail, m may be 0.
+
+    Rational entries reach 3 * LIMIT, past the int64 elimination bound, and
+    GF(2^61 - 1) residues square past 2**63: both products run in object dtype.
+    """
+    field = draw(st.sampled_from([RATIONALS, GF(7), GF(2147483659), GF(2**61 - 1)]))
+    if field.is_rationals:
+        bound = draw(st.sampled_from([3, 3 * LIMIT]))
+        entries = st.integers(-bound, bound)
+    else:
+        entries = st.integers(0, field.p - 1)
+    r, k, lead, trail, m = (draw(st.integers(lo, 3)) for lo in (0, 1, 1, 0, 0))
+
+    def matrix(rows, cols):
+        num = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=object)
+        den = draw(st.sampled_from([1, 2, 6])) if field.is_rationals else 1
+        return Matrix.build(field, num.reshape(rows, cols), den)
+
+    return matrix(r, k), lead, trail, matrix(lead * k * trail, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot_case())
+def test_on_slots_is_the_kronecker_product(case):
+    op, lead, trail, mat = case
+    field = op.field
+    dense = Matrix.identity(field, lead).kron(op).kron(Matrix.identity(field, trail))
+    assert on_slots(op, lead, mat) == dense @ mat
 
 
 def test_braid_word_matsumoto():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -144,6 +145,27 @@ def test_recursion_and_factorization_match_definitions():
         delta_component(spaces[0], -1, 2)
     with pytest.raises(DegreeCap):
         delta_component(spaces[0], 6, 7)
+
+
+# sha256 over S_d and every Delta_{i,d-i}, d <= 7, of the spaces above,
+# recorded before the symmetrizer and the dense lifts became slot products
+GOLDEN_OPERATORS = "7cb95bde24e6956cc16e94b56d4e8762ab96d33c7dae33723290018b5bb5f1fe"
+
+
+def test_symmetrizers_and_coproducts_are_golden():
+    spaces = {
+        "flip2": make_flip(2, RATIONALS),
+        "A2": diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
+        "gf7": diagonal_space(GF(7), [[2, 3], [4, 5]]),
+        "jordan": JORDAN,
+    }
+    digest = hashlib.sha256()
+    for name, space in spaces.items():
+        for d in range(1, 8):
+            for m in [symmetrizer(space, d)] + [delta_component(space, i, d - i) for i in range(d + 1)]:
+                digest.update(f"{name} {d} {m.den}:".encode())
+                digest.update(",".join(map(str, m.num.ravel().tolist())).encode())
+    assert digest.hexdigest() == GOLDEN_OPERATORS
 
 
 def coassoc_holds(space, i, j, k):
