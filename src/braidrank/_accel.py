@@ -37,7 +37,7 @@ def maxabs(arr: np.ndarray) -> int:
         return _INT64_BOUND
     if arr.size == 0:
         return 0
-    return max(abs(int(arr.min())), abs(int(arr.max())))
+    return max(-int(np.minimum.reduce(arr, None)), int(np.maximum.reduce(arr, None)))
 
 
 def exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -1,8 +1,16 @@
 """Truncated graded braided bialgebra quotients T(V,c)/I up to a cutoff.
 
-A :class:`GradedQuotient` stores one relation subspace R_d of V^(x)d per
-degree d <= D.  Two invariants are re-verified (exactly) every time a
-quotient is built:
+A :class:`GradedQuotient` stores each relation subspace R_d of V^(x)d as
+one :class:`Subspace` per weight class (:meth:`BraidedSpace.classes`), on
+the class's own words.  Braid lifts and coproduct components of a braiding
+that preserves multidegree map each class to itself, so saturation, the
+primitive kernels, Delta application and both re-checks run class by
+class.  An ungraded braiding, or a quotient whose flat input has a row
+across two classes, has one class: the same code path.  Flat n^d-wide
+bases are assembled only by :meth:`GradedQuotient.relation` and
+:attr:`PrimitiveReport.subspace`; flat input is split in :func:`_class_rows`.
+
+Two invariants are re-verified (exactly) every time a quotient is built:
 
 * ideal closure:  (V (x) R_d) + (R_d (x) V) is contained in R_{d+1},
 * coideal property:  Delta_{i,d-i}(R_d) lands in
@@ -12,19 +20,12 @@ which together make the quotient a truncated braided bialgebra.  A failure
 is a hard error: the tower construction guarantees both, so a violation
 flags an implementation bug (it also tripwires the coproduct convention).
 
-Quotient spaces are represented canonically: the monomial basis of degree d
-is indexed by the non-pivot columns N of rref(R_d), and the projection
-pi_d : V^(x)d -> Q_d = V^(x)d / R_d is x |-> x[N] - x[P] B[:, N], with B
-the rref basis and P its pivots.  The mixing space
-R_i (x) V^(x)j + V^(x)i (x) R_j is exactly the kernel of pi_i (x) pi_j, so
-it is never built: the coideal re-check tests
+On a class, the monomial basis of Q_d is indexed by the non-pivot columns
+N of the rref basis B of R_d there, and pi_d is x |-> x[N] - x[P] B[:, N].
+The mixing space R_i (x) V^(x)j + V^(x)i (x) R_j is exactly the kernel of
+pi_i (x) pi_j, so it is never built: the coideal re-check tests
 (pi_i (x) pi_j) Delta_{i,j} B^T = 0, and primitives start from the
-representatives e_c, c in N, of Q_d.
-
-When the braiding preserves multidegree (``BraidedSpace.weights``), every
-R_d, primitive kernel and saturation stack is block-diagonal by weight, and
-the eliminations here run one weight class at a time; the bases are the
-flat ones, bit for bit.
+representatives e_c, c in N.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel, shuffle
-from .braiding import BraidedSpace, check_degree, on_slots
+from .braiding import BraidedSpace, WeightClasses, check_degree
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
-from .exactlin import Matrix, Subspace, graded_matmul, hstack, kernel_basis, vstack
+from .exactlin import Matrix, Subspace, kernel_basis, kernel_rows, matmul_num, vstack
 
 __all__ = [
     "GradedQuotient",
@@ -52,85 +53,177 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrimitiveReport:
-    """Representatives of the degree-d primitives of a graded quotient.
-
-    The subspace lives in V^(x)d, meets R_d only in 0, and its image spans
-    the primitives of the quotient in degree d.
-    """
+    """Representatives of the degree-d primitives of a graded quotient, one
+    subspace per class of ``classes``.  The flat :attr:`subspace` meets R_d
+    only in 0, and its image spans the primitives in degree d."""
 
     degree: int
-    subspace: Subspace
+    parts: tuple[Subspace, ...]
+    classes: WeightClasses
+
+    @property
+    def dim(self) -> int:
+        return sum(part.dim for part in self.parts)
+
+    @property
+    def subspace(self) -> Subspace:
+        return _assemble(self.classes, self.parts)
+
+
+def _non_pivots(sub: Subspace) -> np.ndarray:
+    return np.delete(np.arange(sub.ambient_dim), sub.pivots)
+
+
+def _place(mat: Matrix, cols: np.ndarray, width: int) -> Matrix:
+    """``mat`` as the columns ``cols`` of a matrix ``width`` wide, zero elsewhere."""
+    num = np.zeros((mat.rows, width), dtype=mat.num.dtype)
+    num[:, cols] = mat.num
+    return Matrix.build(mat.field, num, mat.den)
+
+
+def _assemble(classes: WeightClasses, parts) -> Subspace:
+    """The flat canonical basis of the subspace with the class bases ``parts``.
+
+    Class supports are disjoint, so the class rows sorted by pivot are the
+    flat rref; like a flat elimination, it is int64 only below 2**62.
+    """
+    size = classes.label.size
+    pivots = np.concatenate([cols[list(part.pivots)] for cols, part in zip(classes.cols, parts)])
+    order = np.argsort(pivots)
+    basis = vstack([_place(part.basis, cols, size) for cols, part in zip(classes.cols, parts)]).take_rows(order)
+    if basis.num.dtype != object and _accel.maxabs(basis.num) >= 1 << 62:
+        basis = Matrix.build(basis.field, basis.num.astype(object), basis.den)
+    return Subspace(size, basis, tuple(pivots[order].tolist()))
+
+
+def _class_rows(classes: WeightClasses, gen) -> list[Matrix] | None:
+    """The rows of ``gen``, a flat matrix or a :class:`PrimitiveReport`, split
+    by class onto each class's columns; None when a row meets two classes.
+
+    This is the one place where a partition is read off the data.
+    """
+    if isinstance(gen, PrimitiveReport):
+        if gen.classes is classes:
+            return [part.basis for part in gen.parts]
+        gen = gen.subspace.basis
+    nz = gen.num != 0
+    # the class of each row's first nonzero; -1 for a zero row
+    by_row = np.where(nz.any(axis=1), classes.label[nz.argmax(axis=1)], -1)
+    if (nz & (classes.label != by_row[:, None])).any():
+        return None
+    return [Matrix.build(gen.field, gen.num[np.ix_(by_row == k, c)], gen.den) for k, c in enumerate(classes.cols)]
+
+
+def _split(space: BraidedSpace, graded: bool, gens: list) -> tuple[bool, list]:
+    """``(graded, [(d, rows per class)])`` for the (d, generator) pairs ``gens``;
+    a row across two classes puts every degree in the one-class partition."""
+    for g in (graded, False):
+        out = [(d, _class_rows(space.classes(d, g), gen)) for d, gen in gens]
+        if all(rows is not None for _, rows in out):
+            return g, out
+
+
+def _span(rel: Subspace, rows: list[Matrix]) -> Subspace:
+    """``rel`` plus the span of ``rows``; the stack is eliminated with its rows
+    sorted by leading column, which keeps the fill-in small."""
+    if rel.dim == rel.ambient_dim or not any(r.rows for r in rows):
+        return rel
+    stack = vstack([rel.basis, *rows])
+    lead = (stack.num != 0).argmax(axis=1)
+    return Subspace.from_rows(stack.take_rows(np.argsort(lead, kind="stable")))
+
+
+def _shifted(space: BraidedSpace, graded: bool, d: int, parts):
+    """For each nonzero class basis b of R_d and each letter e: (b, class w of
+    V^(x)(d+1), places in w) of b (x) e, then of e (x) b."""
+    n, src, dst = space.n, space.classes(d, graded), space.classes(d + 1, graded)
+    for rel, cols in zip(parts, src.cols):
+        for words in [cols * n + e for e in range(n)] + [e * n**d + cols for e in range(n)]:
+            if rel.dim:
+                w = dst.label[words[0]]
+                yield rel.basis, w, np.searchsorted(dst.cols[w], words)
 
 
 class GradedQuotient:
     """Truncated bialgebra quotient: braided space, cutoff, relation family.
 
+    ``parts[d - 1]`` holds R_d, one subspace per class of :meth:`classes`
+    (one class when ``graded`` is False).
     ``coideal_holds`` records the outcome of the coideal re-check.  It is
     True for every tower stage; quotients saturated from generators that are
     not primitive are still valid graded algebra quotients, but their
     coproduct does not descend and the primitive computation refuses them.
     """
 
-    __slots__ = ("space", "cutoff", "coideal_holds", "_relations", "_prim_cache")
+    __slots__ = ("space", "cutoff", "coideal_holds", "_graded", "_parts", "_proj", "_prim_cache")
 
-    def __init__(self, space: BraidedSpace, cutoff: int, relations, _validated=False):
+    def __init__(self, space: BraidedSpace, cutoff: int, parts, graded: bool = True, _validated=False):
         if not _validated:
             raise TypeError("use free_truncated / ideal_saturate")
         self.space = space
         self.cutoff = cutoff
         self.coideal_holds = True
-        self._relations = tuple(relations)
+        self._graded = graded
+        self._parts = tuple(tuple(p) for p in parts)
+        self._proj: dict[tuple[int, int], Matrix] = {}
         self._prim_cache: dict[int, PrimitiveReport] = {}
+
+    @classmethod
+    def from_rows(cls, space: BraidedSpace, cutoff: int, mats, _validated=False) -> "GradedQuotient":
+        """The quotient whose R_d is spanned by the rows of the flat ``mats[d - 1]``."""
+        graded, rows = _split(space, True, list(enumerate(mats, 1)))
+        parts = [[Subspace.from_rows(r) for r in by_class] for _, by_class in rows]
+        return cls(space, cutoff, parts, graded, _validated=_validated)
 
     # -- structure ----------------------------------------------------------
 
-    def relation(self, d: int) -> Subspace:
+    def classes(self, d: int) -> WeightClasses:
+        return self.space.classes(d, self._graded)
+
+    def relation_parts(self, d: int) -> tuple[Subspace, ...]:
+        """R_d as one subspace per class of :meth:`classes`."""
         if not 1 <= d <= self.cutoff:
             raise DegreeCap(f"degree {d} outside 1..{self.cutoff}")
-        return self._relations[d - 1]
+        return self._parts[d - 1]
+
+    def relation(self, d: int) -> Subspace:
+        """R_d with its flat canonical basis."""
+        return _assemble(self.classes(d), self.relation_parts(d))
 
     def qdim(self, d: int) -> int:
         if d == 0:
             return 1
-        return self.space.n**d - self.relation(d).dim
+        return self.space.n**d - sum(part.dim for part in self.relation_parts(d))
 
-    def quotient_columns(self, d: int) -> tuple[int, ...]:
-        """Non-pivot columns of rref(R_d): the canonical monomial basis."""
-        piv = set(self.relation(d).pivots)
-        return tuple(c for c in range(self.space.n**d) if c not in piv)
+    def projection(self, d: int, k: int) -> Matrix:
+        """pi_d on class k: den on the non-pivots N, -B[:, N]^T on the pivots."""
+        out = self._proj.get((d, k))
+        if out is None:
+            rel = self._parts[d - 1][k]
+            out = self._proj[(d, k)] = kernel_rows(rel.basis, rel.pivots)
+        return out
 
-    def section(self, d: int) -> Matrix:
-        """Canonical section: quotient coordinates -> representative in V^(x)d."""
-        cols = self.quotient_columns(d)
-        num = np.zeros((self.space.n**d, len(cols)), dtype=np.int64)
-        num[cols, range(len(cols))] = 1
-        return Matrix.build(self.space.field, num)
+    def tensor_coords(self, i: int, j: int, k: int, rows: Matrix) -> Matrix:
+        """(pi_i (x) pi_j) of rows on class k of V^(x)(i+j), up to a scale per grid.
 
-    def projection(self, d: int) -> Matrix:
-        """pi_d as a q_d x n^d matrix: the identity on N, -B[:, N]^T on the pivots."""
-        rel = self.relation(d)
-        cols = self.quotient_columns(d)
-        num = np.zeros((len(cols), rel.ambient_dim), dtype=rel.basis.num.dtype)
-        num[range(len(cols)), cols] = rel.basis.den
-        num[:, list(rel.pivots)] = -rel.basis.num[:, list(cols)].T
-        return Matrix.build(self.space.field, num, rel.basis.den)
-
-    def tensor_coords(self, i: int, j: int, rows: Matrix) -> Matrix:
-        """(pi_i (x) pi_j) of each row of V^(x)(i+j), flattened Q_j-major.
-
-        A row maps to zero exactly when it lies in :meth:`mixing_space`.
-        pi_j acts on the last j slots, then pi_i on the first i; a factor
-        whose R is 0 is the identity and is skipped.
+        Each grid of :meth:`BraidedSpace.grids` gets the numerators of pi_j
+        on its columns, then those of pi_i on its rows; a factor whose R is
+        0 is the identity.  A row maps to zero exactly when it lies in
+        :meth:`mixing_space`: the order and scale of the coordinates are
+        nothing a kernel sees.
         """
-        n, m = self.space.n, rows.rows
-        if rows.cols != n ** (i + j):
-            raise AmbientMismatch(f"vector length {rows.cols} vs ambient {n ** (i + j)}")
-        out = rows.transpose()
-        for d, lead in ((j, n**i), (i, 1)):
-            if self.relation(d).dim:
-                out = on_slots(self.projection(d), lead, out)
-        qi, qj = self.qdim(i), self.qdim(j)
-        return Matrix.build(rows.field, out.num.reshape(qi, qj, m).transpose(2, 1, 0).reshape(m, qj * qi), out.den)
+        field, m = rows.field, rows.rows
+        blocks = [np.zeros((m, 0), dtype=np.int64)]
+        for a, b, grid in self.space.grids(i, j, self._graded)[k]:
+            out = rows.num[:, grid]
+            for d, c in ((j, b), (i, a)):
+                # the factor's axis is last; each step moves the other one there
+                if self._parts[d - 1][c].dim:
+                    (s, t), proj = out.shape[1:], self.projection(d, c).num.T
+                    out = matmul_num(field, out.reshape(m * s, t), proj).reshape(m, s, proj.shape[1])
+                out = out.transpose(0, 2, 1)
+            blocks.append(out.transpose(0, 2, 1).reshape(m, -1))
+        return Matrix.build(field, np.hstack(blocks), rows.den)
 
     @property
     def total_dim(self) -> int:
@@ -157,7 +250,7 @@ class GradedQuotient:
         return (
             self.space == other.space
             and self.cutoff == other.cutoff
-            and self._relations == other._relations
+            and all(self.relation(d) == other.relation(d) for d in range(1, self.cutoff + 1))
         )
 
     __hash__ = None
@@ -166,45 +259,40 @@ class GradedQuotient:
         return f"GradedQuotient(n={self.space.n}, D={self.cutoff}, hilbert={hilbert_series(self)})"
 
 
-def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix, transposed: bool = False) -> Matrix:
+def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix, transposed=False, cols=None) -> Matrix:
     """rows @ Delta_{i,j}^T, or rows @ Delta_{i,j} when ``transposed``.
 
-    A monomial braiding scatters the integer terms of
-    :func:`braidrank.shuffle._monomial_delta`; a term's targets form a
-    permutation, so its transpose is the term ``(inv, num[inv])`` with
-    ``inv = argsort(tgt)``.  Any other braiding multiplies by the dense
+    The rows live on the words ``cols`` of a class (all words when None),
+    which Delta maps to itself.  For a monomial braiding, rows @ Delta is the
+    sum over the terms of :func:`braidrank.shuffle._monomial_delta` of
+    rows[:, tgt] * num, and rows @ Delta^T uses each term's inverse
+    permutation; any other braiding multiplies by the class's block of
     :func:`braidrank.shuffle.delta_component`.
     """
-    if space.is_monomial:
-        terms, den = shuffle._monomial_delta(space, i, j)
-        if transposed:
-            terms = [(np.argsort(tgt), num) for tgt, num in terms]
-            terms = [(inv, num[inv]) for inv, num in terms]
-        return _scatter_apply(space, rows, terms, den)
-    delta = shuffle.delta_component(space, i, j)
-    return rows @ (delta if transposed else delta.transpose())
-
-
-def _scatter_apply(space: BraidedSpace, rows: Matrix, terms, den: int) -> Matrix:
-    """Sum over monomial terms of rows @ term^T / den via column scatter.
-
-    Each term sends source column c to target column tgt[c] scaled by
-    num[c]; targets within one term never collide, so fancy-indexed
-    accumulation is exact.
-    """
-    field = space.field
-    size = rows.cols
-    m = rows.rows
-    # over F_p the sum is reduced after every term
-    term_max = _accel.maxabs(rows.num) * max(_accel.maxabs(c) for _, c in terms)
-    bound = term_max * len(terms) if field.is_rationals else term_max + field.p
-    src, *coeffs = _accel.exact(bound, rows.num, *(c for _, c in terms))
-    out = np.zeros((size, m), dtype=src.dtype)
-    for (tgt, _), c in zip(terms, coeffs):
-        out[np.asarray(tgt)] += (src * c[None, :]).T
-        if not field.is_rationals:
-            out %= field.p
-    return Matrix.build(field, out.T, rows.den * den)
+    if cols is None:
+        cols = np.arange(space.n ** (i + j))
+    if not space.is_monomial:
+        delta = shuffle.delta_component(space, i, j).take_rows(cols).take_columns(cols)
+        return rows @ (delta if transposed else delta.transpose())
+    tgt, num, den = shuffle._monomial_delta(space, i, j)
+    tgt, num = np.searchsorted(cols, tgt[:, cols]), num[:, cols]
+    if not transposed:
+        tgt = np.argsort(tgt, axis=1)
+        num = np.take_along_axis(num, tgt, axis=1)
+    # all terms at once, in row blocks of about 2**20 (row, term, column) entries
+    terms, size = tgt.shape
+    prod = _accel.maxabs(rows.num) * _accel.maxabs(num)
+    # over F_p each product is reduced before the sum
+    bound = prod * terms if space.field.is_rationals else max(prod, terms * space.field.p)
+    src, num = _accel.exact(bound, rows.num, num)
+    step = max(1, (1 << 20) // (terms * size))
+    out = np.empty((rows.rows, size), dtype=src.dtype)
+    for r in range(0, rows.rows, step):
+        part = src[r : r + step][:, tgt] * num
+        if not space.field.is_rationals:
+            part %= space.field.p
+        out[r : r + step] = part.sum(axis=1)
+    return Matrix.build(space.field, out, rows.den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +301,7 @@ def _scatter_apply(space: BraidedSpace, rows: Matrix, terms, den: int) -> Matrix
 
 
 def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
-    """Exact re-check of ideal closure (hard) and the coideal property.
+    """Exact re-check of ideal closure (hard) and the coideal property, class by class.
 
     Ideal-closure failure is always an error.  A coideal failure raises when
     ``require_coideal`` is set (tower stages, oracle truncations) and is
@@ -221,34 +309,28 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
     primitive generators still yield a usable graded algebra quotient.
     """
     for d in range(1, q.cutoff):
-        rel = q.relation(d)
-        if rel.dim == 0:
-            continue
-        # the rows b (x) e_k, then e_k (x) b, of the basis b of R_d, times pi_{d+1}^T
-        proj = q.projection(d + 1).transpose()
-        for lead in (1, q.space.n):
-            if not on_slots(rel.basis, lead, proj).is_zero():
-                raise BialgebraInvariantError(
-                    f"ideal closure fails from degree {d} to {d + 1}"
-                )
+        # each b (x) e and e (x) b times pi_{d+1}^T of its class
+        for basis, w, pos in _shifted(q.space, q._graded, d, q.relation_parts(d)):
+            if matmul_num(q.space.field, basis.num, q.projection(d + 1, w).num[:, pos].T).any():
+                raise BialgebraInvariantError(f"ideal closure fails from degree {d} to {d + 1}")
     for d in range(2, q.cutoff + 1):
-        rel = q.relation(d)
-        if rel.dim == 0:
-            continue
-        cols = q.quotient_columns(d)
-        tail = rel.basis.take_columns(cols).transpose()
-        for i in range(1, d):
-            # M = (pi_i (x) pi_{d-i}) Delta_{i,d-i} has q_i q_{d-i} rows, not dim R_d;
-            # B[:, P] = Id, so M B^T = M[:, P] + M[:, N] B[:, N]^T has q_d inner columns
-            proj = q.projection(i).kron(q.projection(d - i))
-            covectors = _apply_delta_rows(q.space, i, d - i, proj, transposed=True)
-            if not (covectors.take_columns(rel.pivots) + covectors.take_columns(cols) @ tail).is_zero():
-                if require_coideal:
-                    raise BialgebraInvariantError(
-                        f"coideal property fails at degree {d}, split ({i},{d - i})"
-                    )
-                q.coideal_holds = False
-                return
+        for k, (rel, cols) in enumerate(zip(q.relation_parts(d), q.classes(d).cols)):
+            if rel.dim == 0:
+                continue
+            free, ident = _non_pivots(rel), Matrix.identity(q.space.field, cols.size)
+            tail = rel.basis.take_columns(free).transpose()
+            for i in range(1, d):
+                # M = (pi_i (x) pi_{d-i}) Delta_{i,d-i} on the class, one row per
+                # coordinate; B[:, P] = Id, so M B^T = M[:, P] + M[:, N] B[:, N]^T
+                coords = q.tensor_coords(i, d - i, k, ident).transpose()
+                cov = _apply_delta_rows(q.space, i, d - i, coords, transposed=True, cols=cols)
+                if not (cov.take_columns(rel.pivots) + cov.take_columns(free) @ tail).is_zero():
+                    if require_coideal:
+                        raise BialgebraInvariantError(
+                            f"coideal property fails at degree {d}, split ({i},{d - i})"
+                        )
+                    q.coideal_holds = False
+                    return
 
 
 def free_truncated(space: BraidedSpace, cutoff: int) -> GradedQuotient:
@@ -256,8 +338,8 @@ def free_truncated(space: BraidedSpace, cutoff: int) -> GradedQuotient:
     if cutoff < 1:
         raise DegreeCap("cutoff must be at least 1")
     check_degree(cutoff)
-    rels = [Subspace.zero(space.field, space.n**d) for d in range(1, cutoff + 1)]
-    q = GradedQuotient(space, cutoff, rels, _validated=True)
+    parts = [[Subspace.zero(space.field, c.size) for c in space.classes(d).cols] for d in range(1, cutoff + 1)]
+    q = GradedQuotient(space, cutoff, parts, _validated=True)
     _validate_quotient(q)
     return q
 
@@ -265,34 +347,38 @@ def free_truncated(space: BraidedSpace, cutoff: int) -> GradedQuotient:
 def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
     """Smallest ideal-closed relation family containing R and the generators.
 
-    ``new_relations`` is a list of (degree, Subspace) pairs.  Generators are
-    added degreewise, then one ascending sweep propagates
-    R_{d+1} <- R_{d+1} + V (x) R_d + R_d (x) V, which reaches the fixpoint
-    because closure only feeds upward; the invariant re-check then certifies
-    it.  Quotient dimensions weakly decrease.
+    ``new_relations`` is a list of (degree, generators) pairs, each a flat
+    Subspace or a :class:`PrimitiveReport` of ``q``.  Generators are added
+    class by class, then one ascending sweep propagates
+    R_{d+1} <- R_{d+1} + V (x) R_d + R_d (x) V, class w of R_d feeding the
+    classes w + e of R_{d+1}.  It reaches the fixpoint because closure only
+    feeds upward; the invariant re-check then certifies it.  Quotient
+    dimensions weakly decrease.
     """
-    n = q.space.n
-    rels = list(q._relations)
+    space, n = q.space, q.space.n
+    gens = []
     for d, sub in new_relations:
         if not 1 <= d <= q.cutoff:
             raise DegreeCap(f"generator degree {d} outside 1..{q.cutoff}")
-        if sub.ambient_dim != n**d:
-            raise AmbientMismatch(
-                f"degree-{d} generators live in dimension {n**d}, got {sub.ambient_dim}"
-            )
-        if sub.field != q.space.field:
-            raise AmbientMismatch(f"field mismatch: {sub.field} vs {q.space.field}")
-        rels[d - 1] = rels[d - 1].sum(sub, q.space.weights(d))
-    eye = Matrix.identity(q.space.field, n)
+        if not isinstance(sub, PrimitiveReport):
+            if sub.ambient_dim != n**d:
+                raise AmbientMismatch(
+                    f"degree-{d} generators live in dimension {n**d}, got {sub.ambient_dim}"
+                )
+            if sub.field != space.field:
+                raise AmbientMismatch(f"field mismatch: {sub.field} vs {space.field}")
+            sub = sub.basis
+        gens.append((d, sub))
+    graded, gens = _split(space, q._graded, gens)
+    parts = list(q._parts) if graded == q._graded else [(q.relation(d),) for d in range(1, q.cutoff + 1)]
+    for d, rows in gens:
+        parts[d - 1] = tuple(_span(rel, [r]) for rel, r in zip(parts[d - 1], rows))
     for d in range(1, q.cutoff):
-        cur = rels[d - 1]
-        if cur.dim == 0:
-            continue
-        stack = [rels[d].basis] if rels[d].dim else []
-        stack.append(cur.basis.kron(eye))
-        stack.append(eye.kron(cur.basis))
-        rels[d] = Subspace.from_rows(vstack(stack), q.space.weights(d + 1))
-    out = GradedQuotient(q.space, q.cutoff, rels, _validated=True)
+        pieces = [[] for _ in parts[d]]
+        for basis, w, pos in _shifted(space, graded, d, parts[d - 1]):
+            pieces[w].append(_place(basis, pos, parts[d][w].ambient_dim))
+        parts[d] = tuple(_span(rel, p) for rel, p in zip(parts[d], pieces))
+    out = GradedQuotient(space, q.cutoff, parts, graded, _validated=True)
     _validate_quotient(out, require_coideal=False)
     return out
 
@@ -307,17 +393,11 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
 
     An element is primitive when every mixed coproduct component vanishes in
     the quotient, i.e. (pi_i (x) pi_{d-i}) Delta_{i,d-i}(x) = 0 for every
-    0 < i < d.  The exact kernel intersection starts from the representatives
-    e_c, c in N, of Q_d: R is a coideal (else the quotient is refused), so
-    R_d lies in every such kernel and the result is the primitive preimage
-    reduced modulo R_d.  Degree 1 returns a complement of R_1 (all of V in a
-    tower).
-
-    For a graded braiding each kern row has the weight of its pivot, and
-    each image row lies in one weight class.  So the coefficient kernel is
-    eliminated per class of kern rows, and the product coefficients @ kern
-    multiplies each class's coefficients by its kern rows, restricted to
-    that class's columns of V^(x)d.
+    0 < i < d.  Delta keeps each class, so the exact kernel intersection
+    runs class by class, from the representatives e_c, c in N, of Q_d
+    there.  R is a coideal (else the quotient is refused), so R_d lies in
+    every such kernel and the result is the primitive preimage reduced
+    modulo R_d.  Degree 1 returns a complement of R_1 (all of V in a tower).
     """
     cached = q._prim_cache.get(d)
     if cached is not None:
@@ -328,22 +408,21 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
         raise BialgebraInvariantError(
             "the coproduct does not descend to this quotient (coideal re-check failed)"
         )
-    space = q.space
-    size = space.n**d
-    weights = space.weights(d)
-    kern = Subspace(size, q.section(d).transpose(), q.quotient_columns(d))
-    for i in range(1, d):
-        if kern.dim == 0:
-            break
-        images = q.tensor_coords(i, d - i, _apply_delta_rows(space, i, d - i, kern.basis))
-        if images.is_zero():
-            continue
-        coeffs = kernel_basis(images.transpose(), weights[list(kern.pivots)])
-        if coeffs.dim == 0:
-            kern = Subspace.zero(space.field, size)
-            break
-        kern = Subspace.from_rows(graded_matmul(coeffs.basis, kern.basis, weights), weights)
-    report = PrimitiveReport(d, kern)
+    field, classes = q.space.field, q.classes(d)
+    parts = []
+    for k, (rel, cols) in enumerate(zip(q.relation_parts(d), classes.cols)):
+        free = _non_pivots(rel)
+        units = _place(Matrix.identity(field, free.size), free, cols.size)
+        kern = Subspace(cols.size, units, tuple(free.tolist()))
+        for i in range(1, d):
+            if kern.dim == 0:
+                break
+            images = q.tensor_coords(i, d - i, k, _apply_delta_rows(q.space, i, d - i, kern.basis, cols=cols))
+            if images.is_zero():
+                continue
+            kern = Subspace.from_rows(kernel_basis(images.transpose()).basis @ kern.basis)
+        parts.append(kern)
+    report = PrimitiveReport(d, tuple(parts), classes)
     q._prim_cache[d] = report
     return report
 
@@ -364,9 +443,8 @@ def omega_projection(q: GradedQuotient) -> Matrix:
     Columns are indexed by the quotient monomial bases, degree-major from 0
     to D.  Composed with the degree-1 inclusion it is the identity on V.
     """
-    sec = q.section(1)
-    left, right = (Matrix.zeros(q.space.field, q.space.n, k) for k in (q.offset(1), q.total_dim - q.offset(2)))
-    return hstack([left, sec, right])
+    sec = Matrix.identity(q.space.field, q.space.n).take_columns(_non_pivots(q.relation(1)))
+    return _place(sec, np.arange(q.offset(1), q.offset(2)), q.total_dim)
 
 
 def augmentation_split(q: GradedQuotient) -> tuple[Matrix, Matrix]:

@@ -12,8 +12,9 @@ Every constructed space is validated: c must be invertible and satisfy the
 braid equation (c(x)I)(I(x)c)(c(x)I) = (I(x)c)(c(x)I)(I(x)c) on V^(x)3,
 as an exact matrix identity.  Validation also decides whether c preserves
 the Z^n multidegree of a tensor (flip and diagonal braidings do); then
-every braid lift, coproduct component and relation space is block-diagonal
-by weight, and :meth:`BraidedSpace.weights` labels each basis word.
+every braid lift and coproduct component maps each weight class of words
+to itself.  :meth:`BraidedSpace.classes` gives that partition of each
+V^(x)d as a :class:`WeightClasses`; when c mixes weights it is one class.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def permutation_tensor_matrix(field: FieldSpec, n: int, perm: Sequence[int]) -> 
 class BraidedSpace:
     """A validated braided vector space: dimension n plus a braiding matrix."""
 
-    __slots__ = ("field", "n", "c", "_monomial", "_graded", "_weights", "_delta_cache")
+    __slots__ = ("field", "n", "c", "_monomial", "_graded", "_weights", "_classes", "_delta_cache")
 
     def __init__(self, field: FieldSpec, n: int, c: Matrix, _validated: bool = False):
         if not _validated:
@@ -119,6 +120,7 @@ class BraidedSpace:
         self._monomial = _detect_monomial(c)
         self._graded = _preserves_multidegree(n, c)
         self._weights: dict[int, np.ndarray] = {}
+        self._classes: dict[tuple[int, bool], WeightClasses] = {}
         self._delta_cache: dict = {}
 
     @property
@@ -139,6 +141,27 @@ class BraidedSpace:
             self._weights[d] = w
         return w
 
+    def classes(self, d: int, graded: bool = True) -> "WeightClasses":
+        """The weight classes of V^(x)d; one class when ``graded`` is False."""
+        if (d, graded) not in self._classes:
+            codes = self.weights(d) if graded else np.zeros(self.n**d, dtype=np.int64)
+            self._classes[(d, graded)] = WeightClasses(codes)
+        return self._classes[(d, graded)]
+
+    def grids(self, i: int, j: int, graded: bool = True) -> list[list[tuple[int, int, np.ndarray]]]:
+        """For each class of V^(x)(i+j): the pairs (a, b) of classes of V^(x)i
+        and V^(x)j whose words a (x) b make it up, each with those words'
+        places in the class as an |a| x |b| grid."""
+        whole, left, right = (self.classes(e, graded) for e in (i + j, i, j))
+        if i not in whole.grids:
+            words = np.arange(whole.label.size)
+            a, b = left.label[words // self.n**j], right.label[words % self.n**j]
+            whole.grids[i] = out = [[] for _ in whole.cols]
+            for r in group_by((whole.label * len(left.cols) + a) * len(right.cols) + b):
+                k, shape = whole.label[r[0]], (left.cols[a[r[0]]].size, -1)
+                out[k].append((a[r[0]], b[r[0]], np.searchsorted(whole.cols[k], r).reshape(shape)))
+        return whole.grids[i]
+
     def __eq__(self, other):
         if not isinstance(other, BraidedSpace):
             return NotImplemented
@@ -148,6 +171,29 @@ class BraidedSpace:
 
     def __repr__(self):
         return f"BraidedSpace(n={self.n}, field={self.field})"
+
+
+class WeightClasses:
+    """A partition of the basis words of V^(x)d, from one code per word.
+
+    ``cols[k]`` lists the words of class k in ascending order (classes in
+    ascending code) and ``label[t]`` is the class of word t.  ``grids``
+    caches :meth:`BraidedSpace.grids` by the split degree.
+    """
+
+    __slots__ = ("cols", "label", "grids")
+
+    def __init__(self, codes: np.ndarray):
+        self.cols, self.label, self.grids = group_by(codes), np.empty(codes.size, dtype=np.int64), {}
+        for k, cols in enumerate(self.cols):
+            self.label[cols] = k
+
+
+def group_by(codes: np.ndarray) -> list[np.ndarray]:
+    """The indices of ``codes``, one ascending array per value, by ascending value."""
+    order = np.argsort(codes, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(codes[order])) + 1).tolist(), codes.size]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _detect_monomial(c: Matrix):

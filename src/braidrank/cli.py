@@ -202,9 +202,9 @@ def _subspace_doc(sub: Subspace, field) -> list:
     return [list(map(texts.__getitem__, row)) for row in sub.basis.num.tolist()]
 
 
-def _subspace_from_doc(field, ambient, rows, labels) -> Subspace:
+def _rows_from_doc(field, ambient, rows) -> Matrix:
     if not rows:
-        return Subspace.zero(field, ambient)
+        return Matrix.zeros(field, 0, ambient)
     if not all(isinstance(row, list) and len(row) == ambient for row in rows):
         raise AmbientMismatch(f"relation rows must be lists of length {ambient}, the dimension of V^(x)d")
     texts = [x for row in rows for x in row]
@@ -214,7 +214,7 @@ def _subspace_from_doc(field, ambient, rows, labels) -> Subspace:
     distinct, where = np.unique(np.array(texts), return_inverse=True)
     values = Matrix.from_scalars(field, [distinct.tolist()])
     num = values.num[0][where].reshape(len(rows), ambient)
-    return Subspace.from_rows(Matrix.build(field, num, values.den), labels)
+    return Matrix.build(field, num, values.den)
 
 
 def _quotient_relations_doc(q: GradedQuotient) -> dict:
@@ -225,11 +225,8 @@ def _quotient_relations_doc(q: GradedQuotient) -> dict:
 
 
 def _quotient_from_doc(space: BraidedSpace, cutoff: int, doc: dict) -> GradedQuotient:
-    rels = [
-        _subspace_from_doc(space.field, space.n**d, doc.get(str(d), []), space.weights(d))
-        for d in range(1, cutoff + 1)
-    ]
-    q = GradedQuotient(space, cutoff, rels, _validated=True)
+    rows = [_rows_from_doc(space.field, space.n**d, doc.get(str(d), [])) for d in range(1, cutoff + 1)]
+    q = GradedQuotient.from_rows(space, cutoff, rows, _validated=True)
     bialgebra._validate_quotient(q)
     return q
 
@@ -338,14 +335,25 @@ def _stage_chunks(degrees):
     return _json_chunks((degree(*item) for item in degrees), 2, "{}")
 
 
-def _computed_stage_chunks(rels: list[Subspace]):
-    """A stage's relation bases R_1..R_D, as :func:`_quotient_relations_doc` writes them."""
+def _flat_rows(classes, parts):
+    """Each row of the flat rref basis with class bases ``parts``, in pivot order, as scalars."""
+    cols = [c.tolist() for c in classes.cols]
+    rows = sorted((cols[k][p], k, r) for k, part in enumerate(parts) for r, p in enumerate(part.pivots))
+    for _, k, r in rows:
+        row, basis = [0] * classes.label.size, parts[k].basis
+        for c, v in zip(cols[k], basis.num[r].tolist()):
+            if v:
+                row[c] = Fraction(v, basis.den) if basis.field.is_rationals else v
+        yield row
 
-    def degree(d, sub):
-        scalar = _scalar_text(sub.basis.field, sub.basis.den)
-        return str(d), (row.tolist() for row in sub.basis.num), _Memo(lambda v: _json_str(scalar(v)))
 
-    return _stage_chunks(degree(d, sub) for d, sub in enumerate(rels, 1))
+def _computed_stage_chunks(rels):
+    """A stage's relations R_1..R_D, from (classes, class bases) per degree."""
+
+    def degree(d, classes, parts):
+        return str(d), _flat_rows(classes, parts), _Memo(lambda v: _json_str(format_scalar(v, parts[0].field)))
+
+    return _stage_chunks(degree(d, *rel) for d, rel in enumerate(rels, 1))
 
 
 def _is_text_grid(stage) -> bool:
@@ -419,7 +427,7 @@ class _StageCache:
         return stages, q
 
     def record(self, q: GradedQuotient, rep: StageReport):
-        rels = [q.relation(d) for d in range(1, q.cutoff + 1)]
+        rels = [(q.classes(d), q.relation_parts(d)) for d in range(1, q.cutoff + 1)]
         self.stages.append(functools.partial(_computed_stage_chunks, rels))
 
     def save(self, report: RankReport, max_iter: int):
@@ -618,8 +626,9 @@ def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
 def nichols(input_path, cutoff, max_iter, cache_dir, as_json):
     """Compute the symmetrizer-oracle truncation and compare with the tower."""
     spec, space = _load_job(input_path, cutoff, max_iter)
-    oracle_q = nichols_truncation(space, spec.cutoff)
+    # the tower first: it checks the --cache path before any computation
     rep = _run_tower_cached(spec, space, cache_dir, spec.max_iter)
+    oracle_q = nichols_truncation(space, spec.cutoff)
     match = compare(rep.final, oracle_q) if rep.stabilized else None
     doc = {
         "oracle_hilbert": hilbert_series(oracle_q),

@@ -16,7 +16,8 @@ Matrices
 Subspaces
     A :class:`Subspace` is the unique reduced-row-echelon basis of a subspace
     of a coordinate space together with its pivot columns; subspace equality
-    is equality of rref bases.
+    is equality of rref bases.  An elimination runs on the matrix it is given:
+    a split by weight class is the caller's, made in the data.
 
 Everything here is immutable after construction and safe to share across
 threads; operations are pure functions.  Dense only, no floating point, no
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 import numpy as np
@@ -199,7 +200,7 @@ class Matrix:
                 num = num.astype(object) * inv
                 den = 1
             num = (num if num.dtype == object else num.astype(np.int64)) % field.p
-        if num.dtype == object and num.size and np.abs(num).max() < _INT64_STORE:
+        if num.dtype == object and (not num.size or np.abs(num).max() < _INT64_STORE):
             num = num.astype(np.int64)
         # a new array either way; object entries become Python ints
         num = _to_int(num) if num.dtype == object else np.array(num, dtype=np.int64, order="C")
@@ -212,15 +213,12 @@ class Matrix:
         r = len(rows)
         c = len(rows[0]) if r else 0
         num = np.empty((r, c), dtype=object)
-        den = 1
         vals = [[coerce_scalar(x, field) for x in row] for row in rows]
         for row in vals:
             if len(row) != c:
                 raise DimensionMismatch("ragged rows")
         # a residue is an int, whose denominator is 1
-        for row in vals:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for row in vals for x in row))
         for i, row in enumerate(vals):
             for j, x in enumerate(row):
                 num[i, j] = x.numerator * (den // x.denominator)
@@ -278,9 +276,8 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
         # over F_p both denominators are 1 and build reduces the sum mod p
-        da, db = self.den, other.den
-        L = da // gcd(da, db) * db
-        ma, mb = L // da, L // db
+        L = lcm(self.den, other.den)
+        ma, mb = L // self.den, L // other.den
         bound = max(_accel.maxabs(self.num), 1) * ma + max(_accel.maxabs(other.num), 1) * mb
         a, b = _accel.exact(bound, self.num, other.num)
         return Matrix.build(self.field, a * ma + b * mb, L)
@@ -300,11 +297,8 @@ class Matrix:
         self._check_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        if self.field.is_rationals:
-            num = _accel.matmul_int(self.num, other.num)
-            return Matrix.build(self.field, num, self.den * other.den)
-        num = _accel.matmul_mod(self.num, other.num, self.field.p)
-        return Matrix.build(self.field, num)
+        # over F_p both denominators are 1
+        return Matrix.build(self.field, matmul_num(self.field, self.num, other.num), self.den * other.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index convention is big-endian (row-major)."""
@@ -326,8 +320,17 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """The unique reduced row echelon form and its pivot columns."""
-        work, dens, pivots = _eliminate(self.field, self.num)
-        return _reduced(self.field, work, dens, len(pivots)), tuple(pivots)
+        if not self.field.is_rationals:
+            work, pivots = _accel.rref_mod(self.num, self.field.p)
+            return Matrix.build(self.field, work), tuple(pivots)
+        # row i is work[i] / dens[i]; the zero rows below the rank keep factor 1
+        work, dens, pivots = _accel.rref_frac(self.num)
+        ranked = [int(d) for d in dens[: len(pivots)]]
+        den = lcm(*ranked)
+        if den > 1:
+            factors = np.array([den // d for d in ranked] + [1] * (self.rows - len(ranked)), dtype=object)
+            work = work.astype(object) * factors[:, None]
+        return Matrix.build(self.field, work, den), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -336,30 +339,9 @@ class Matrix:
 _BUILD = object()
 
 
-def _eliminate(field: FieldSpec, num: np.ndarray):
-    """Gauss-Jordan on integer numerators: (work, row dens or None, pivots)."""
-    if field.is_rationals:
-        return _accel.rref_frac(num)
-    work, pivots = _accel.rref_mod(num, field.p)
-    return work, None, pivots
-
-
-def _reduced(field: FieldSpec, work: np.ndarray, dens, rank: int) -> Matrix:
-    """The matrix of an elimination: row i is work[i] / dens[i], zero below
-    ``rank``; over F_p ``dens`` is None and the rows are work itself."""
-    if dens is None:
-        return Matrix.build(field, work)
-    lcm = 1
-    for i in range(rank):
-        d = int(dens[i])
-        lcm = lcm // gcd(lcm, d) * d
-    if lcm == 1:
-        return Matrix.build(field, work)
-    factors = np.empty(work.shape[0], dtype=object)
-    for i in range(work.shape[0]):
-        # rows below the rank are zero; scale them by 1
-        factors[i] = lcm // int(dens[i]) if i < rank else 1
-    return Matrix.build(field, work.astype(object) * factors[:, None], lcm)
+def matmul_num(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact product of integer arrays a @ b, reduced modulo p over F_p."""
+    return _accel.matmul_int(a, b) if field.is_rationals else _accel.matmul_mod(a, b, field.p)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -374,9 +356,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
             raise FieldMismatch(f"{field} vs {m.field}")
         if m.cols != cols:
             raise DimensionMismatch("widths differ")
-    den = 1
-    for m in mats:
-        den = den // gcd(den, m.den) * m.den
+    den = lcm(*(m.den for m in mats))
     factors = [den // m.den for m in mats]
     bound = max(max(_accel.maxabs(m.num), 1) * f for m, f in zip(mats, factors))
     parts = _accel.exact(bound, *(m.num for m in mats))
@@ -418,15 +398,9 @@ class Subspace:
         return Subspace(ambient_dim, Matrix.identity(field, ambient_dim), tuple(range(ambient_dim)))
 
     @staticmethod
-    def from_rows(mat: Matrix, labels=None) -> "Subspace":
-        """Span of the rows of ``mat`` with the canonical rref basis.
-
-        ``labels`` (one per column, e.g. ``BraidedSpace.weights(d)``) lets
-        the elimination run one weight class at a time; see
-        :func:`_rref_basis`.  The basis is the same with or without them.
-        """
-        basis, pivots = _rref_basis(mat, labels)
-        return Subspace(mat.cols, basis, pivots)
+    def from_rows(mat: Matrix) -> "Subspace":
+        """Span of the rows of ``mat`` with the canonical rref basis."""
+        return Subspace(mat.cols, *_rref_basis(mat))
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -449,13 +423,13 @@ class Subspace:
     def contains_rows(self, mat: Matrix) -> bool:
         return self.reduce_rows(mat).is_zero()
 
-    def sum(self, other: "Subspace", labels=None) -> "Subspace":
+    def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         if other.dim == 0:
             return self
         if self.dim == 0:
             return other
-        return Subspace.from_rows(vstack([self.basis, other.basis]), labels)
+        return Subspace.from_rows(vstack([self.basis, other.basis]))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -479,137 +453,26 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     return red, list(pivots)
 
 
-def kernel_basis(mat: Matrix, labels=None) -> Subspace:
-    """The subspace {x : M x = 0}, of dimension cols - rank.
-
-    ``labels`` label the columns of ``mat`` as in :meth:`Subspace.from_rows`.
-    """
-    red, pivots = _rref_basis(mat, labels)
-    free = np.delete(np.arange(mat.cols), pivots)
-    field = mat.field
-    if not free.size:
-        return Subspace.zero(field, mat.cols)
-    # row k: den at free column free[k], minus column free[k] of rref at the
-    # pivots; an int64 rref has den = its pivot entries, so int64 holds both
-    num = np.zeros((free.size, mat.cols), dtype=red.num.dtype)
-    num[range(free.size), free] = red.den
-    num[:, list(pivots)] = -red.num[:, free].T
-    vectors = Matrix.build(field, num, red.den)
-    return Subspace.from_rows(vectors, labels)
+def kernel_basis(mat: Matrix) -> Subspace:
+    """The subspace {x : M x = 0}, of dimension cols - rank."""
+    return Subspace.from_rows(kernel_rows(*_rref_basis(mat)))
 
 
-# ---------------------------------------------------------------------------
-# weight blocks
-#
-# A braiding that preserves multidegree makes its relation spaces, kernels
-# and saturation stacks block-diagonal by weight.  Whether a given matrix
-# splits is checked on the matrix itself, so a label array is only ever a
-# hint: a row whose support crosses two classes sends the whole matrix
-# through the flat elimination.
-# ---------------------------------------------------------------------------
+def kernel_rows(basis: Matrix, pivots) -> Matrix:
+    """Rows spanning {x : basis x = 0}, for a reduced basis with these pivots:
+    row k has den at the k-th free column f and minus column f of the
+    numerators at the pivots (int64 holds both: den is a pivot entry)."""
+    free = np.delete(np.arange(basis.cols), pivots)
+    num = np.zeros((free.size, basis.cols), dtype=basis.num.dtype)
+    num[range(free.size), free] = basis.den
+    num[:, list(pivots)] = -basis.num[:, free].T
+    return Matrix.build(basis.field, num, basis.den)
 
 
-def _weight_blocks(num: np.ndarray, labels) -> dict | None:
-    """The (rows, columns) of each weight class of ``num``, keyed by label.
-
-    ``labels`` gives one label per column.  None unless every nonzero row
-    lies in one class and the nonzero rows meet at least two classes.
-    Zero rows belong to no block, and a class without rows has no entry.
-    """
-    if labels is None or num.size == 0:
-        return None
-    labels = np.asarray(labels)
-    if labels.min() == labels.max():
-        return None
-    nz = num != 0
-    row_label = labels[nz.argmax(axis=1)]
-    if (nz & (labels != row_label[:, None])).any():
-        return None
-    rows = np.flatnonzero(nz.any(axis=1))
-    # stable sorts keep each block's rows and columns in ascending order
-    rows = rows[np.argsort(row_label[rows], kind="stable")]
-    by_rows = _runs(rows, row_label[rows])
-    if len(by_rows) < 2:
-        return None
-    cols = np.argsort(labels, kind="stable")
-    by_cols = _runs(cols, labels[cols])
-    return {label: (block_rows, by_cols[label]) for label, block_rows in by_rows.items()}
-
-
-def _runs(index: np.ndarray, keys: np.ndarray) -> dict:
-    """``index`` split into its runs of equal ``keys`` (sorted), keyed by key."""
-    if keys.size == 0:
-        return {}
-    cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    starts, ends = np.concatenate(([0], cuts)), np.concatenate((cuts, [keys.size]))
-    return {keys[a]: index[a:b] for a, b in zip(starts, ends)}
-
-
-def _rref_basis(mat: Matrix, labels=None) -> tuple[Matrix, tuple[int, ...]]:
-    """The nonzero rows of rref(mat) and its pivots.
-
-    When ``mat`` splits into weight blocks, each block is eliminated on its
-    own columns.  Block supports are disjoint, so the block rref rows sorted
-    by pivot are the flat rref, and they go through the same conversion to
-    one denominator as a flat elimination.  The rref is unique and
-    :meth:`Matrix.build` canonical, so values, den and dtype are the flat
-    elimination's: either way the stored numerators are int64 exactly when
-    they are all below 2**62.
-    """
-    blocks = _weight_blocks(mat.num, labels)
-    if blocks is None:
-        red, pivots = mat.rref()
-        return red.take_rows(range(len(pivots))), pivots
-    field = mat.field
-    runs = [(cols, *_eliminate(field, mat.num[np.ix_(rows, cols)])) for rows, cols in blocks.values()]
-    pivots = np.concatenate([cols[piv] for cols, _, _, piv in runs])
-    where = np.empty(pivots.size, dtype=np.int64)
-    where[np.argsort(pivots)] = np.arange(pivots.size)
-    obj = any(work.dtype == object for _, work, _, _ in runs)
-    work = np.zeros((pivots.size, mat.cols), dtype=object if obj else np.int64)
-    dens = np.ones(pivots.size, dtype=work.dtype) if field.is_rationals else None
-    start = 0
-    for cols, block, block_dens, piv in runs:
-        dest = where[start : start + len(piv)]
-        start += len(piv)
-        work[np.ix_(dest, cols)] = block[: len(piv)]
-        if dens is not None:
-            dens[dest] = block_dens[: len(piv)]
-    red = _reduced(field, work, dens, pivots.size)
-    return red, tuple(int(c) for c in np.sort(pivots))
-
-
-def graded_matmul(a: Matrix, b: Matrix, labels) -> Matrix:
-    """``a @ b``, one weight class at a time when the factors split.
-
-    ``labels`` label the columns of ``b``.  When each row of b lies in one
-    class, and each row of a meets the rows of b of one class only, that
-    row of the product is a's entries there times those rows of b,
-    restricted to the class's columns.  Otherwise the flat product runs.
-    """
-    right = _weight_blocks(b.num, labels)
-    if right is None:
-        return a @ b
-    # the class of each row of b; zero rows get a label of their own
-    inner = np.full(b.rows, -1, dtype=np.int64)
-    for k, (rows, _) in enumerate(right.values()):
-        inner[rows] = k
-    left = _weight_blocks(a.num, inner)
-    if left is None:
-        return a @ b
-    cols = [c for _, c in right.values()]
-    products = []
-    for k, (rows, inner_k) in left.items():
-        if k < 0:
-            continue  # those rows of a meet only zero rows of b
-        x, y = a.num[np.ix_(rows, inner_k)], b.num[np.ix_(inner_k, cols[k])]
-        prod = _accel.matmul_int(x, y) if a.field.is_rationals else _accel.matmul_mod(x, y, a.field.p)
-        products.append((rows, cols[k], prod))
-    obj = any(prod.dtype == object for _, _, prod in products)
-    out = np.zeros((a.rows, b.cols), dtype=object if obj else np.int64)
-    for rows, cols_k, prod in products:
-        out[np.ix_(rows, cols_k)] = prod
-    return Matrix.build(a.field, out, a.den * b.den)
+def _rref_basis(mat: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """The nonzero rows of rref(mat) and its pivots."""
+    red, pivots = mat.rref()
+    return red.take_rows(range(len(pivots))), pivots
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -27,12 +27,15 @@ def nichols_truncation(space: BraidedSpace, cutoff: int) -> GradedQuotient:
     The relation family R_d = ker(symmetrizer_d) is built degree by degree
     and then passed through the full ideal-closure and coideal re-checks,
     which double as a deep cross-check of the coproduct convention.  S_d
-    preserves the weight classes of c, so its kernel is found class by class.
+    maps each weight class of c to itself, so its kernel is found class by
+    class, from the block of S_d on the class's words.
     """
     if cutoff < 1:
         raise DegreeCap("cutoff must be at least 1")
     check_degree(cutoff)
-    rels = [kernel_basis(symmetrizer(space, d), space.weights(d)) for d in range(1, cutoff + 1)]
+    syms = (symmetrizer(space, d) for d in range(1, cutoff + 1))
+    rels = [[kernel_basis(s.take_rows(c).take_columns(c)) for c in space.classes(d).cols]
+            for d, s in enumerate(syms, 1)]
     q = GradedQuotient(space, cutoff, rels, _validated=True)
     _validate_quotient(q)
     return q

@@ -9,8 +9,8 @@ by the braided q-Pascal recursion on the last tensor slot (Rosso 1998):
 
 with d = i + j, Delta_{i,0} = Delta_{0,j} = Id, and c_{d-1} acting first.
 A monomial braiding (flip, diagonal) keeps Delta_{i,j} as C(d, i) integer
-terms (targets, numerators) over one denominator; any other braiding keeps
-a dense matrix.
+terms, the rows of a targets array and a numerators array, over one
+denominator; any other braiding keeps a dense matrix.
 
 The quantum symmetrizer S_d, the sum of the positive lifts of all of S_d,
 is the independent oracle for the tower.  It unrolls the factorization
@@ -85,41 +85,40 @@ def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix) -> Matrix:
 
 
 def _monomial_delta(space: BraidedSpace, i: int, j: int):
-    """Delta_{i,j} of a monomial braiding as ``(terms, den)``, cached.
+    """Delta_{i,j} of a monomial braiding as ``(tgt, num, den)``, cached.
 
-    Term ``(tgt, num)`` sends basis index t to num[t] / den at tgt[t], and
-    Delta_{i,j} is the sum of its C(i+j, i) terms; den = c.den**(i*j).
+    Row t of the C(i+j, i) x n^(i+j) arrays is one term: it sends basis
+    index c to num[t, c] / den at tgt[t, c], and Delta_{i,j} is the sum of
+    the terms; den = c.den**(i*j).
     """
     out = space._delta_cache.get((i, j))
     if out is not None:
         return out
     n, d = space.n, i + j
     if i == 0 or j == 0:
-        out = [(np.arange(n**d), np.ones(n**d, dtype=np.int64))], 1
+        out = np.arange(n**d)[None, :], np.ones((1, n**d), dtype=np.int64), 1
     else:
         # (x) Id on the last slot, then Id scaled by c.den**i or the chain
         # (which carries c.den**j): both parts come to den c.den**(i*j)
-        left = _monomial_delta(space, i, j - 1)[0]
-        right = _monomial_delta(space, i - 1, j)[0]
         ident = np.arange(n**d), _times(np.ones(n**d, dtype=np.int64), space.c.den**i, space.field)
         chain = _monomial_lift(space, d, range(i, d))
-        terms = []
-        for part, (ctgt, cnum) in ((left, ident), (right, chain)):
-            for tgt, num in part:
-                tgt = (tgt[:, None] * n + np.arange(n)).ravel()
-                terms.append((ctgt[tgt], _times(np.repeat(num, n), cnum[tgt], space.field)))
-        out = terms, space.c.den ** (i * j)
+        tgts, nums = [], []
+        parts = ((_monomial_delta(space, i, j - 1), ident), (_monomial_delta(space, i - 1, j), chain))
+        for (tgt, num, _), (ctgt, cnum) in parts:
+            tgt = (tgt[:, :, None] * n + np.arange(n)).reshape(tgt.shape[0], -1)
+            tgts.append(ctgt[tgt])
+            nums.append(_times(np.repeat(num, n, axis=1), cnum[tgt], space.field))
+        out = np.vstack(tgts), np.vstack(nums), space.c.den ** (i * j)
     space._delta_cache[(i, j)] = out
     return out
 
 
-def _assemble_monomial_sum(space: BraidedSpace, d: int, terms, den: int) -> Matrix:
-    """Dense matrix of a sum of monomial terms over the denominator ``den``."""
+def _assemble_monomial_sum(space: BraidedSpace, d: int, tgt: np.ndarray, num: np.ndarray, den: int) -> Matrix:
+    """Dense matrix of a sum of monomial terms (rows of ``tgt`` and ``num``) over ``den``."""
     size = space.n**d
-    nums = exact(max(maxabs(num) for _, num in terms) * len(terms), *(num for _, num in terms))
-    out = np.zeros((size, size), dtype=nums[0].dtype)
-    for (tgt, _), num in zip(terms, nums):
-        out[tgt, np.arange(size)] += num
+    (num,) = exact(maxabs(num) * len(num), num)
+    out = np.zeros((size, size), dtype=num.dtype)
+    np.add.at(out, (tgt, np.arange(size)), num)
     return Matrix.build(space.field, out, den)
 
 

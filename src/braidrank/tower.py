@@ -89,9 +89,9 @@ def step(q: GradedQuotient, stage: int = 0) -> tuple[GradedQuotient, StageReport
     found = []
     for d in range(2, q.cutoff + 1):
         rep = primitives(q, d)
-        dims.append(rep.subspace.dim)
-        if rep.subspace.dim:
-            found.append((d, rep.subspace))
+        dims.append(rep.dim)
+        if rep.dim:
+            found.append((d, rep))
     if not found:
         return q, StageReport(stage, tuple(hilbert_series(q)), tuple(dims), True)
     out = ideal_saturate(q, found)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from braidrank import (
     GF,
@@ -23,9 +24,9 @@ from braidrank import (
     omega_projection,
     primitives,
 )
-from braidrank.bialgebra import GradedQuotient, _validate_quotient
-from braidrank.braiding import BraidedSpace
-from braidrank.exactlin import _weight_blocks, kernel_basis, vstack
+from braidrank.bialgebra import GradedQuotient, _assemble, _split, _validate_quotient
+from braidrank.braiding import BraidedSpace, WeightClasses
+from braidrank.exactlin import hstack, kernel_basis, vstack
 from braidrank.tower import run
 
 from conftest import diagonal_space, jordan_space, sym_dim, witt
@@ -170,6 +171,12 @@ def _tower_quotients(space, cutoff):
     return stages
 
 
+def _flat_tensor_coords(q, i, j, rows):
+    """tensor_coords of flat rows: the coordinates of each class, side by side."""
+    classes = q.classes(i + j).cols
+    return hstack([q.tensor_coords(i, j, k, rows.take_columns(cols)) for k, cols in enumerate(classes)])
+
+
 def test_tensor_coords_kernel_is_the_mixing_space():
     # pi_i (x) pi_j maps a row to zero exactly when the row lies in
     # R_i (x) V^(x)j + V^(x)i (x) R_j, the explicitly built reference.
@@ -192,10 +199,10 @@ def test_tensor_coords_kernel_is_the_mixing_space():
                     mixing = q.mixing_space(i, d - i)
                     images = _apply_delta_rows(space, i, d - i, Matrix.identity(space.field, space.n**d))
                     rows = vstack([images, mixing.basis]) if mixing.dim else images
-                    projected_zero = ~(q.tensor_coords(i, d - i, rows).num != 0).any(axis=1)
+                    projected_zero = ~(_flat_tensor_coords(q, i, d - i, rows).num != 0).any(axis=1)
                     inside = ~(mixing.reduce_rows(rows).num != 0).any(axis=1)
                     assert projected_zero.tolist() == inside.tolist(), (space, d, i)
-                    projected = kernel_basis(q.tensor_coords(i, d - i, images).transpose())
+                    projected = kernel_basis(_flat_tensor_coords(q, i, d - i, images).transpose())
                     reference = kernel_basis(mixing.reduce_rows(images).transpose())
                     assert projected == reference, (space, d, i)
 
@@ -234,7 +241,7 @@ def test_scatter_application_matches_dense_product():
         Matrix.identity(RATIONALS, size).take_rows(range(0, size, 37)),
     ]
     for (i, j) in [(3, 5), (4, 4), (5, 3)]:
-        assert any(num.dtype == object for _, num in shuffle._monomial_delta(space, i, j)[0])
+        assert shuffle._monomial_delta(space, i, j)[1].dtype == object
         delta = delta_component(space, i, j)
         for rows in blocks:
             assert _apply_delta_rows(space, i, j, rows) == rows @ delta.transpose(), (i, j, rows.rows)
@@ -257,7 +264,7 @@ def test_validate_quotient_catches_broken_closure():
         span(RATIONALS, 4, [[0, 1, -1, 0]]),
         Subspace.zero(RATIONALS, 8),  # missing the pushed-up relations
     ]
-    broken = GradedQuotient(space, 3, rels, _validated=True)
+    broken = GradedQuotient.from_rows(space, 3, [r.basis for r in rels], _validated=True)
     with pytest.raises(BialgebraInvariantError):
         _validate_quotient(broken)
 
@@ -310,9 +317,10 @@ def test_mod_p_quotients():
     assert hilbert_series(out) == [1, 1, 0, 0, 0]
 
 
-def _flat_weights(monkeypatch):
-    """Make every braiding one weight class, so the flat eliminations run."""
-    monkeypatch.setattr(BraidedSpace, "weights", lambda self, d: np.zeros(self.n**d, dtype=np.int64))
+def _one_class(monkeypatch):
+    """Make every quotient take the one-class partition, so each elimination is flat."""
+    real = BraidedSpace.classes
+    monkeypatch.setattr(BraidedSpace, "classes", lambda self, d, graded=True: real(self, d, False))
 
 
 def _identical(x, y):
@@ -321,28 +329,30 @@ def _identical(x, y):
     assert x.basis.num.dtype == y.basis.num.dtype and np.array_equal(x.basis.num, y.basis.num)
 
 
-def _same_relations(a, b):
-    for d in range(1, a.cutoff + 1):
-        _identical(a.relation(d), b.relation(d))
+def _relations(q):
+    return [q.relation(d) for d in range(1, q.cutoff + 1)]
 
 
 @pytest.mark.parametrize("field", [RATIONALS, GF(3)], ids=["QQ", "F3"])
 def test_saturate_inhomogeneous_generator_matches_flat(field, monkeypatch):
-    # e00 + e11 mixes the weights 2e_0 and 2e_1, so its closure crosses
-    # classes and those degrees take the flat path; e01 - e10 alone splits
+    # e00 + e11 mixes the weights 2e_0 and 2e_1, so that quotient takes the
+    # one-class partition; e01 - e10 alone keeps the 4 classes of degree 3
     space = make_flip(2, field)
     mixed = span(field, 4, [[1, 0, 0, 1], [0, 1, -1, 0]])
     commutator = span(field, 4, [[0, 1, -1, 0]])
     graded = [ideal_saturate(free_truncated(space, 5), [(2, gen)]) for gen in (mixed, commutator)]
-    assert _weight_blocks(graded[0].relation(3).basis.num, space.weights(3)) is None
-    assert _weight_blocks(graded[1].relation(3).basis.num, space.weights(3)) is not None
-    _flat_weights(monkeypatch)
-    for out, gen in zip(graded, (mixed, commutator)):
-        _same_relations(out, ideal_saturate(free_truncated(space, 5), [(2, gen)]))
+    assert [len(q.classes(3).cols) for q in graded] == [1, 4]
+    expected = [_relations(q) for q in graded]
+    _one_class(monkeypatch)
+    for rels, gen in zip(expected, (mixed, commutator)):
+        flat = ideal_saturate(free_truncated(space, 5), [(2, gen)])
+        assert len(flat.classes(3).cols) == 1
+        for x, y in zip(rels, _relations(flat)):
+            _identical(x, y)
 
 
 def test_graded_tower_matches_flat(monkeypatch):
-    # every stage's relations and primitives, block by block and flat
+    # every stage's relations and primitives, class by class and as one class
     cases = [
         (make_flip(3, RATIONALS), 4),
         (make_flip(2, GF(3)), 6),
@@ -352,15 +362,80 @@ def test_graded_tower_matches_flat(monkeypatch):
     def stages(space, cutoff):
         out = [free_truncated(space, cutoff)]
         run(space, cutoff, on_stage=lambda q, _: out.append(q))
-        return out, [[primitives(q, d).subspace for d in range(1, cutoff + 1)] for q in out]
+        assert {len(q.classes(cutoff).cols) for q in out} == {len(space.classes(cutoff).cols)}
+        return [_relations(q) + [primitives(q, d).subspace for d in range(1, cutoff + 1)] for q in out]
 
     graded = [stages(space, cutoff) for space, cutoff in cases]
-    _flat_weights(monkeypatch)
-    for (space, cutoff), (quotients, prims) in zip(cases, graded):
-        flat_quotients, flat_prims = stages(space, cutoff)
-        assert len(quotients) == len(flat_quotients)
-        for a, b in zip(quotients, flat_quotients):
-            _same_relations(a, b)
-        for a, b in zip(prims, flat_prims):
+    assert all(len(space.classes(cutoff).cols) > 1 for space, cutoff in cases)
+    _one_class(monkeypatch)
+    for (space, cutoff), bases in zip(cases, graded):
+        assert len(space.classes(cutoff).cols) == 1
+        flat = stages(space, cutoff)
+        assert len(bases) == len(flat)
+        for a, b in zip(bases, flat):
             for x, y in zip(a, b):
                 _identical(x, y)
+
+
+# ---------------------------------------------------------------------------
+# graded storage: split by class, eliminate per class, assemble
+# ---------------------------------------------------------------------------
+
+BIG_PRIME_FIELD = GF(2**61 - 1)
+NEAR_INT64_STORE = st.integers(2**62 - 3, 2**62 + 3).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+class _Labelled:
+    """A stand-in braided space whose degree-1 words carry given class codes."""
+
+    def __init__(self, codes):
+        self.codes = codes
+
+    def classes(self, d, graded=True):
+        return WeightClasses(self.codes if graded else np.zeros_like(self.codes))
+
+
+@st.composite
+def labelled_rows(draw):
+    """Rows that each lie in one class of the columns' codes, with zero rows,
+    sometimes a row across classes, and sometimes entries near 2**62 (object
+    dtype from 2**62 on)."""
+    field = draw(st.sampled_from([RATIONALS, RATIONALS, GF(5), BIG_PRIME_FIELD]))
+    cols = draw(st.integers(2, 7))
+    codes = draw(st.lists(st.integers(0, 2), min_size=cols, max_size=cols))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        entry = st.one_of(NEAR_INT64_STORE, entry)
+    classes = draw(st.permutations(sorted(set(codes))))
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        rows.append([draw(entry) if c == classes[i % len(classes)] else 0 for c in codes])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    if draw(st.integers(0, 3)) == 0:
+        rows.append([draw(entry) for _ in codes])  # usually crosses classes
+    return field, rows, np.array(codes, dtype=np.int64)
+
+
+# the basis is int64 exactly when every numerator over the common
+# denominator is below 2**62; a 3 in the second class makes den 3
+@example((RATIONALS, [[1, 2**62, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2]], np.array([0, 0, 1, 1])))
+@example((RATIONALS, [[1, 2**62 - 1, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2]], np.array([0, 0, 1, 1])))
+@example((RATIONALS, [[1, 2**62 // 3 + 1, 0, 0], [0, 0, 3, 1], [0, 0, 6, 2]], np.array([0, 0, 1, 1])))
+@settings(max_examples=300, deadline=None)
+@given(labelled_rows())
+def test_class_split_roundtrip_is_the_flat_rref(case):
+    field, rows, codes = case
+    mat = Matrix.from_scalars(field, rows)
+    space = _Labelled(codes)
+    graded, [(_, by_class)] = _split(space, True, [(1, mat)])
+    crossing = any(len(set(codes[row != 0])) > 1 for row in mat.num)
+    assert graded is not crossing
+    classes = space.classes(1, graded)
+    assert len(classes.cols) == (1 if crossing else len(set(codes)))
+    parts = [Subspace.from_rows(r) for r in by_class]
+    flat = _assemble(classes, parts)
+    ref = Subspace.from_rows(mat)
+    assert flat.pivots == ref.pivots and flat.basis.den == ref.basis.den
+    assert flat.basis.num.dtype == ref.basis.num.dtype and flat.basis.shape == ref.basis.shape
+    assert np.array_equal(flat.basis.num, ref.basis.num)

@@ -426,11 +426,16 @@ def _report_is_a_directory(tmp_path):
     ],
 )
 def test_unusable_output_path_exits_2(tmp_path, monkeypatch, command, output):
-    # the path is checked before any computation: the tower is never entered
+    # the path is checked before any computation: neither the tower nor
+    # the symmetrizer oracle is entered
     def tower_entered(*args, **kwargs):
         raise AssertionError("the tower ran before the output path was checked")
 
+    def oracle_entered(*args, **kwargs):
+        raise AssertionError("the oracle ran before the output path was checked")
+
     monkeypatch.setattr(cli.tower, "run", tower_entered)
+    monkeypatch.setattr(cli, "nichols_truncation", oracle_entered)
     extra = ["--degree", "2"] if command == "primitives" else []
     res = invoke([command, "--json", *extra, *output(tmp_path)], doc=FLIP2)
     assert res.exit_code == 2

@@ -25,7 +25,7 @@ from braidrank import (
     rref,
 )
 from braidrank import _accel
-from braidrank.exactlin import _weight_blocks, graded_matmul, vstack
+from braidrank.exactlin import vstack
 
 F5 = GF(5)
 F7 = GF(7)
@@ -439,80 +439,3 @@ def test_kernel_basis_on_int64_and_object_rrefs():
         ker = kernel_basis(mat)
         assert ker.dim == 1 and ker.basis.num.dtype == dtype
         assert (mat @ ker.basis.transpose()).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# weight blocks: with column labels, the same canonical results as without
-# ---------------------------------------------------------------------------
-
-NEAR_INT64_STORE = st.integers(2**62 - 3, 2**62 + 3).flatmap(lambda x: st.sampled_from([x, -x]))
-
-
-@st.composite
-def labelled_matrix(draw):
-    """A matrix whose rows each lie in one label class of its columns, with
-    zero rows, sometimes one row across classes, and sometimes entries near
-    2**62 (object dtype from 2**62 on)."""
-    field = draw(st.sampled_from([RATIONALS, RATIONALS, F5, BIG_PRIME_FIELD]))
-    cols = draw(st.integers(2, 7))
-    labels = draw(st.lists(st.integers(0, 2), min_size=cols, max_size=cols))
-    entry = st.integers(-4, 4)
-    if draw(st.booleans()):
-        entry = st.one_of(NEAR_INT64_STORE, entry)
-    classes = draw(st.permutations(sorted(set(labels))))
-    rows = []
-    for i in range(draw(st.integers(1, 6))):
-        rows.append([draw(entry) if lab == classes[i % len(classes)] else 0 for lab in labels])
-    for _ in range(draw(st.integers(0, 2))):
-        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
-    if draw(st.integers(0, 3)) == 0:
-        rows.append([draw(entry) for _ in labels])  # usually crosses classes
-    return Matrix.from_scalars(field, rows), np.array(labels, dtype=np.int64)
-
-
-BIG_PRIME_FIELD = GF(BIG_PRIME)
-
-
-def _same_subspace(a, b):
-    assert a.pivots == b.pivots and a.basis.den == b.basis.den
-    assert a.basis.num.dtype == b.basis.num.dtype and a.basis.shape == b.basis.shape
-    assert np.array_equal(a.basis.num, b.basis.num)
-
-
-@settings(max_examples=300, deadline=None)
-@given(labelled_matrix())
-def test_weight_blocks_give_the_flat_results(case):
-    mat, labels = case
-    _same_subspace(Subspace.from_rows(mat, labels), Subspace.from_rows(mat))
-    _same_subspace(kernel_basis(mat, labels), kernel_basis(mat))
-    # the columns of mat as coefficients of its rows' span
-    a = Matrix.build(mat.field, np.ones((2, mat.rows), dtype=np.int64))
-    assert graded_matmul(a, mat, labels) == a @ mat
-    assert graded_matmul(mat.transpose(), mat, labels) == mat.transpose() @ mat
-
-
-def test_weight_blocks_split_only_homogeneous_rows():
-    labels = np.array([0, 1, 0, 1])
-    homogeneous = np.array([[1, 0, 2, 0], [0, 0, 0, 0], [0, 3, 0, 1]])
-    blocks = _weight_blocks(homogeneous, labels)
-    assert sorted(blocks) == [0, 1]
-    assert blocks[0][0].tolist() == [0] and blocks[0][1].tolist() == [0, 2]
-    assert blocks[1][0].tolist() == [2] and blocks[1][1].tolist() == [1, 3]
-    crossing = np.vstack([homogeneous, [[0, 1, 1, 0]]])
-    assert _weight_blocks(crossing, labels) is None
-    # one class among the rows, one label in all, or no labels: the flat path
-    assert _weight_blocks(homogeneous[:2], labels) is None
-    assert _weight_blocks(homogeneous, np.zeros(4, dtype=np.int64)) is None
-    assert _weight_blocks(homogeneous, None) is None
-
-
-def test_weight_blocks_keep_object_dtype_where_the_flat_rref_does():
-    # the basis is int64 exactly when every numerator over the common
-    # denominator is below 2**62; a 3 in the second block makes den 3
-    labels = np.array([0, 0, 1, 1])
-    for big, second, dtype in ((2**62, 1, object), (2**62 - 1, 1, np.int64), (2**62 // 3 + 1, 3, object)):
-        mat = Matrix.from_scalars(RATIONALS, [[1, big, 0, 0], [0, 0, second, 1], [0, 0, 2 * second, 2]])
-        sub = Subspace.from_rows(mat, labels)
-        assert sub.basis.num.dtype == dtype and sub.pivots == (0, 2)
-        _same_subspace(sub, Subspace.from_rows(mat))
-        _same_subspace(kernel_basis(mat, labels), kernel_basis(mat))
