@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidrank import (
     GF,
@@ -24,8 +24,8 @@ from braidrank import (
     omega_projection,
     primitives,
 )
-from braidrank.bialgebra import GradedQuotient, _assemble, _split, _validate_quotient
-from braidrank.braiding import BraidedSpace, WeightClasses
+from braidrank.bialgebra import GradedQuotient, _validate_quotient
+from braidrank.braiding import BraidedSpace
 from braidrank.exactlin import hstack, kernel_basis, vstack
 from braidrank.tower import run
 
@@ -375,67 +375,3 @@ def test_graded_tower_matches_flat(monkeypatch):
         for a, b in zip(bases, flat):
             for x, y in zip(a, b):
                 _identical(x, y)
-
-
-# ---------------------------------------------------------------------------
-# graded storage: split by class, eliminate per class, assemble
-# ---------------------------------------------------------------------------
-
-BIG_PRIME_FIELD = GF(2**61 - 1)
-NEAR_INT64_STORE = st.integers(2**62 - 3, 2**62 + 3).flatmap(lambda x: st.sampled_from([x, -x]))
-
-
-class _Labelled:
-    """A stand-in braided space whose degree-1 words carry given class codes."""
-
-    def __init__(self, codes):
-        self.codes = codes
-
-    def classes(self, d, graded=True):
-        return WeightClasses(self.codes if graded else np.zeros_like(self.codes))
-
-
-@st.composite
-def labelled_rows(draw):
-    """Rows that each lie in one class of the columns' codes, with zero rows,
-    sometimes a row across classes, and sometimes entries near 2**62 (object
-    dtype from 2**62 on)."""
-    field = draw(st.sampled_from([RATIONALS, RATIONALS, GF(5), BIG_PRIME_FIELD]))
-    cols = draw(st.integers(2, 7))
-    codes = draw(st.lists(st.integers(0, 2), min_size=cols, max_size=cols))
-    entry = st.integers(-4, 4)
-    if draw(st.booleans()):
-        entry = st.one_of(NEAR_INT64_STORE, entry)
-    classes = draw(st.permutations(sorted(set(codes))))
-    rows = []
-    for i in range(draw(st.integers(1, 6))):
-        rows.append([draw(entry) if c == classes[i % len(classes)] else 0 for c in codes])
-    for _ in range(draw(st.integers(0, 2))):
-        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
-    if draw(st.integers(0, 3)) == 0:
-        rows.append([draw(entry) for _ in codes])  # usually crosses classes
-    return field, rows, np.array(codes, dtype=np.int64)
-
-
-# the basis is int64 exactly when every numerator over the common
-# denominator is below 2**62; a 3 in the second class makes den 3
-@example((RATIONALS, [[1, 2**62, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2]], np.array([0, 0, 1, 1])))
-@example((RATIONALS, [[1, 2**62 - 1, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2]], np.array([0, 0, 1, 1])))
-@example((RATIONALS, [[1, 2**62 // 3 + 1, 0, 0], [0, 0, 3, 1], [0, 0, 6, 2]], np.array([0, 0, 1, 1])))
-@settings(max_examples=300, deadline=None)
-@given(labelled_rows())
-def test_class_split_roundtrip_is_the_flat_rref(case):
-    field, rows, codes = case
-    mat = Matrix.from_scalars(field, rows)
-    space = _Labelled(codes)
-    graded, [(_, by_class)] = _split(space, True, [(1, mat)])
-    crossing = any(len(set(codes[row != 0])) > 1 for row in mat.num)
-    assert graded is not crossing
-    classes = space.classes(1, graded)
-    assert len(classes.cols) == (1 if crossing else len(set(codes)))
-    parts = [Subspace.from_rows(r) for r in by_class]
-    flat = _assemble(classes, parts)
-    ref = Subspace.from_rows(mat)
-    assert flat.pivots == ref.pivots and flat.basis.den == ref.basis.den
-    assert flat.basis.num.dtype == ref.basis.num.dtype and flat.basis.shape == ref.basis.shape
-    assert np.array_equal(flat.basis.num, ref.basis.num)

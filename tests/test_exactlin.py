@@ -25,6 +25,8 @@ from braidrank import (
     rref,
 )
 from braidrank import _accel
+from braidrank.bialgebra import _assemble, _class_rows, _split
+from braidrank.braiding import WeightClasses
 from braidrank.exactlin import vstack
 
 F5 = GF(5)
@@ -439,3 +441,101 @@ def test_kernel_basis_on_int64_and_object_rrefs():
         ker = kernel_basis(mat)
         assert ker.dim == 1 and ker.basis.num.dtype == dtype
         assert (mat @ ker.basis.transpose()).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# weight blocks: split rows by class, eliminate per class, assemble; the
+# same canonical results as the flat elimination
+# ---------------------------------------------------------------------------
+
+NEAR_INT64_STORE = st.integers(2**62 - 3, 2**62 + 3).flatmap(lambda x: st.sampled_from([x, -x]))
+BIG_PRIME_FIELD = GF(BIG_PRIME)
+
+
+class _Labelled:
+    """A stand-in braided space whose degree-1 words carry given class codes."""
+
+    def __init__(self, codes):
+        self.codes = codes
+
+    def classes(self, d, graded=True):
+        return WeightClasses(self.codes if graded else np.zeros_like(self.codes))
+
+
+@st.composite
+def labelled_rows(draw):
+    """Rows that each lie in one class of the columns' codes, with zero rows,
+    sometimes a row across classes, and sometimes entries near 2**62 (object
+    dtype from 2**62 on)."""
+    field = draw(st.sampled_from([RATIONALS, RATIONALS, F5, BIG_PRIME_FIELD]))
+    cols = draw(st.integers(2, 7))
+    codes = draw(st.lists(st.integers(0, 2), min_size=cols, max_size=cols))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        entry = st.one_of(NEAR_INT64_STORE, entry)
+    classes = draw(st.permutations(sorted(set(codes))))
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        rows.append([draw(entry) if c == classes[i % len(classes)] else 0 for c in codes])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    if draw(st.integers(0, 3)) == 0:
+        rows.append([draw(entry) for _ in codes])  # usually crosses classes
+    return Matrix.from_scalars(field, rows), np.array(codes, dtype=np.int64)
+
+
+def _same_subspace(a, b):
+    assert a.pivots == b.pivots and a.basis.den == b.basis.den
+    assert a.basis.num.dtype == b.basis.num.dtype and a.basis.shape == b.basis.shape
+    assert np.array_equal(a.basis.num, b.basis.num)
+
+
+def _by_class(mat, codes):
+    """The class partition _split picks for ``mat`` and its rows per class."""
+    space = _Labelled(codes)
+    graded, [(_, rows)] = _split(space, True, [(1, mat)])
+    return graded, space.classes(1, graded), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_rows())
+def test_weight_blocks_give_the_flat_results(case):
+    mat, codes = case
+    graded, classes, rows = _by_class(mat, codes)
+    crossing = any(len(set(codes[row != 0])) > 1 for row in mat.num)
+    assert graded is not crossing
+    assert len(classes.cols) == (1 if crossing else len(set(codes)))
+    _same_subspace(_assemble(classes, [Subspace.from_rows(r) for r in rows]), Subspace.from_rows(mat))
+    # homogeneous rows make mat block diagonal: its kernel is the sum of the
+    # class kernels
+    _same_subspace(_assemble(classes, [kernel_basis(r) for r in rows]), kernel_basis(mat))
+
+
+def test_weight_blocks_split_only_homogeneous_rows():
+    classes = WeightClasses(np.array([0, 1, 0, 1]))
+    homogeneous = Matrix.from_scalars(RATIONALS, [[1, 0, 2, 0], [0, 0, 0, 0], [0, 3, 0, 1]])
+    rows = _class_rows(classes, homogeneous)
+    # each class keeps its own rows, on its own columns; the zero row goes nowhere
+    assert [r.num.tolist() for r in rows] == [[[1, 2]], [[3, 1]]]
+    crossing = vstack([homogeneous, Matrix.from_scalars(RATIONALS, [[0, 1, 1, 0]])])
+    assert _class_rows(classes, crossing) is None
+    # a row across two classes puts the split in the one-class partition,
+    # which keeps every nonzero row
+    graded, classes, [rows] = _by_class(crossing, np.array([0, 1, 0, 1]))
+    assert not graded and len(classes.cols) == 1 and rows == crossing.take_rows([0, 2, 3])
+    graded, classes, rows = _by_class(homogeneous, np.array([0, 1, 0, 1]))
+    assert graded and len(classes.cols) == 2 and [r.rows for r in rows] == [1, 1]
+
+
+def test_weight_blocks_keep_object_dtype_where_the_flat_rref_does():
+    # the basis is int64 exactly when every numerator over the common
+    # denominator is below 2**62; a 3 in the second block makes den 3
+    codes = np.array([0, 0, 1, 1])
+    for big, second, dtype in ((2**62, 1, object), (2**62 - 1, 1, np.int64), (2**62 // 3 + 1, 3, object)):
+        mat = Matrix.from_scalars(RATIONALS, [[1, big, 0, 0], [0, 0, second, 1], [0, 0, 2 * second, 2]])
+        graded, classes, rows = _by_class(mat, codes)
+        assert graded
+        sub = _assemble(classes, [Subspace.from_rows(r) for r in rows])
+        assert sub.basis.num.dtype == dtype and sub.pivots == (0, 2)
+        _same_subspace(sub, Subspace.from_rows(mat))
+        _same_subspace(_assemble(classes, [kernel_basis(r) for r in rows]), kernel_basis(mat))
