@@ -48,7 +48,7 @@ from .braiding import (
 from .shuffle import delta_component, gaussian_binomial, symmetrizer, unshuffles
 from .bialgebra import (
     GradedQuotient,
-    PrimitiveReport,
+    GradedSubspace,
     augmentation_split,
     free_truncated,
     hilbert_series,
@@ -84,11 +84,11 @@ __all__ = [
     "FieldSpec",
     "GF",
     "GradedQuotient",
+    "GradedSubspace",
     "IndexOutOfRange",
     "InvalidField",
     "Matrix",
     "NotInvertible",
-    "PrimitiveReport",
     "RATIONALS",
     "RankReport",
     "StageReport",

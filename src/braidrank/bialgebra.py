@@ -1,14 +1,15 @@
 """Truncated graded braided bialgebra quotients T(V,c)/I up to a cutoff.
 
 A :class:`GradedQuotient` stores each relation subspace R_d of V^(x)d as
-one :class:`Subspace` per weight class (:meth:`BraidedSpace.classes`), on
-the class's own words.  Braid lifts and coproduct components of a braiding
-that preserves multidegree map each class to itself, so saturation, the
+a :class:`GradedSubspace`: one :class:`Subspace` per weight class
+(:meth:`BraidedSpace.classes`), on the class's own words; the primitives
+are one as well.  Braid lifts and coproduct components of a braiding that
+preserves multidegree map each class to itself, so saturation, the
 primitive kernels, Delta application and both re-checks run class by
 class.  An ungraded braiding, or a quotient whose flat input has a row
-across two classes, has one class: the same code path.  Flat n^d-wide
-bases are assembled only by :meth:`GradedQuotient.relation` and
-:attr:`PrimitiveReport.subspace`; flat input is split in :func:`_class_rows`.
+across two classes, has one class: the same code path.  Only
+:class:`GradedSubspace` knows the class layout and its flat n^d-wide form;
+flat input is split in :func:`_class_rows`.
 
 Two invariants are re-verified (exactly) every time a quotient is built:
 
@@ -31,6 +32,7 @@ representatives e_c, c in N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .exactlin import Matrix, Subspace, kernel_basis, kernel_rows, matmul_num, v
 
 __all__ = [
     "GradedQuotient",
-    "PrimitiveReport",
+    "GradedSubspace",
     "free_truncated",
     "ideal_saturate",
     "primitives",
@@ -52,14 +54,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PrimitiveReport:
-    """Representatives of the degree-d primitives of a graded quotient, one
-    subspace per class of ``classes``.  The flat :attr:`subspace` meets R_d
-    only in 0, and its image spans the primitives in degree d."""
+class GradedSubspace:
+    """A subspace of V^(x)d as one :class:`Subspace` per class of ``classes``,
+    each on its class's own words.
 
-    degree: int
-    parts: tuple[Subspace, ...]
+    The one holder of the class layout: :attr:`subspace` and :meth:`rows`
+    give the flat canonical basis.  Class supports are disjoint, so the
+    class rows sorted by pivot are the flat rref.
+    """
+
     classes: WeightClasses
+    parts: tuple[Subspace, ...]
 
     @property
     def dim(self) -> int:
@@ -67,7 +72,25 @@ class PrimitiveReport:
 
     @property
     def subspace(self) -> Subspace:
-        return _assemble(self.classes, self.parts)
+        """The flat canonical basis; like a flat elimination, int64 only below 2**62."""
+        size, pairs = self.classes.label.size, list(zip(self.classes.cols, self.parts))
+        pivots = np.concatenate([cols[list(part.pivots)] for cols, part in pairs])
+        order = np.argsort(pivots)
+        basis = vstack([_place(part.basis, cols, size) for cols, part in pairs]).take_rows(order)
+        if basis.num.dtype != object and _accel.maxabs(basis.num) >= 1 << 62:
+            basis = Matrix.build(basis.field, basis.num.astype(object), basis.den)
+        return Subspace(size, basis, tuple(pivots[order].tolist()))
+
+    def rows(self):
+        """Each row of the flat canonical basis, in pivot order, as a list of scalars."""
+        cols = [c.tolist() for c in self.classes.cols]
+        order = sorted((cols[k][p], k, r) for k, part in enumerate(self.parts) for r, p in enumerate(part.pivots))
+        for _, k, r in order:
+            row, basis = [0] * self.classes.label.size, self.parts[k].basis
+            for c, v in zip(cols[k], basis.num[r].tolist()):
+                if v:
+                    row[c] = Fraction(v, basis.den) if basis.field.is_rationals else v
+            yield row
 
 
 def _non_pivots(sub: Subspace) -> np.ndarray:
@@ -81,28 +104,13 @@ def _place(mat: Matrix, cols: np.ndarray, width: int) -> Matrix:
     return Matrix.build(mat.field, num, mat.den)
 
 
-def _assemble(classes: WeightClasses, parts) -> Subspace:
-    """The flat canonical basis of the subspace with the class bases ``parts``.
-
-    Class supports are disjoint, so the class rows sorted by pivot are the
-    flat rref; like a flat elimination, it is int64 only below 2**62.
-    """
-    size = classes.label.size
-    pivots = np.concatenate([cols[list(part.pivots)] for cols, part in zip(classes.cols, parts)])
-    order = np.argsort(pivots)
-    basis = vstack([_place(part.basis, cols, size) for cols, part in zip(classes.cols, parts)]).take_rows(order)
-    if basis.num.dtype != object and _accel.maxabs(basis.num) >= 1 << 62:
-        basis = Matrix.build(basis.field, basis.num.astype(object), basis.den)
-    return Subspace(size, basis, tuple(pivots[order].tolist()))
-
-
 def _class_rows(classes: WeightClasses, gen) -> list[Matrix] | None:
-    """The rows of ``gen``, a flat matrix or a :class:`PrimitiveReport`, split
+    """The rows of ``gen``, a flat matrix or a :class:`GradedSubspace`, split
     by class onto each class's columns; None when a row meets two classes.
 
     This is the one place where a partition is read off the data.
     """
-    if isinstance(gen, PrimitiveReport):
+    if isinstance(gen, GradedSubspace):
         if gen.classes is classes:
             return [part.basis for part in gen.parts]
         gen = gen.subspace.basis
@@ -133,80 +141,77 @@ def _span(rel: Subspace, rows: list[Matrix]) -> Subspace:
     return Subspace.from_rows(stack.take_rows(np.argsort(lead, kind="stable")))
 
 
-def _shifted(space: BraidedSpace, graded: bool, d: int, parts):
+def _shifted(n: int, rel: GradedSubspace, dst: WeightClasses):
     """For each nonzero class basis b of R_d and each letter e: (b, class w of
-    V^(x)(d+1), places in w) of b (x) e, then of e (x) b."""
-    n, src, dst = space.n, space.classes(d, graded), space.classes(d + 1, graded)
-    for rel, cols in zip(parts, src.cols):
-        for words in [cols * n + e for e in range(n)] + [e * n**d + cols for e in range(n)]:
-            if rel.dim:
+    ``dst``, the classes of V^(x)(d+1), places in w) of b (x) e, then of e (x) b."""
+    size = rel.classes.label.size
+    for part, cols in zip(rel.parts, rel.classes.cols):
+        for words in [cols * n + e for e in range(n)] + [e * size + cols for e in range(n)]:
+            if part.dim:
                 w = dst.label[words[0]]
-                yield rel.basis, w, np.searchsorted(dst.cols[w], words)
+                yield part.basis, w, np.searchsorted(dst.cols[w], words)
 
 
 class GradedQuotient:
     """Truncated bialgebra quotient: braided space, cutoff, relation family.
 
-    ``parts[d - 1]`` holds R_d, one subspace per class of :meth:`classes`
-    (one class when ``graded`` is False).
+    ``_rels[d - 1]`` holds R_d as a :class:`GradedSubspace`.
     ``coideal_holds`` records the outcome of the coideal re-check.  It is
     True for every tower stage; quotients saturated from generators that are
     not primitive are still valid graded algebra quotients, but their
     coproduct does not descend and the primitive computation refuses them.
     """
 
-    __slots__ = ("space", "cutoff", "coideal_holds", "_graded", "_parts", "_proj", "_prim_cache")
+    __slots__ = ("space", "cutoff", "coideal_holds", "_rels", "_proj", "_prim_cache")
 
-    def __init__(self, space: BraidedSpace, cutoff: int, parts, graded: bool = True, _validated=False):
+    def __init__(self, space: BraidedSpace, cutoff: int, rels, _validated=False):
         if not _validated:
             raise TypeError("use free_truncated / ideal_saturate")
         self.space = space
         self.cutoff = cutoff
         self.coideal_holds = True
-        self._graded = graded
-        self._parts = tuple(tuple(p) for p in parts)
+        self._rels: tuple[GradedSubspace, ...] = tuple(rels)
         self._proj: dict[tuple[int, int], Matrix] = {}
-        self._prim_cache: dict[int, PrimitiveReport] = {}
+        self._prim_cache: dict[int, GradedSubspace] = {}
 
     @classmethod
     def from_rows(cls, space: BraidedSpace, cutoff: int, mats, _validated=False) -> "GradedQuotient":
         """The quotient whose R_d is spanned by the rows of the flat ``mats[d - 1]``."""
         graded, rows = _split(space, True, list(enumerate(mats, 1)))
-        parts = [[Subspace.from_rows(r) for r in by_class] for _, by_class in rows]
-        return cls(space, cutoff, parts, graded, _validated=_validated)
+        rels = [GradedSubspace(space.classes(d, graded), tuple(map(Subspace.from_rows, r))) for d, r in rows]
+        return cls(space, cutoff, rels, _validated=_validated)
 
     # -- structure ----------------------------------------------------------
 
     def classes(self, d: int) -> WeightClasses:
-        return self.space.classes(d, self._graded)
+        return self._rels[d - 1].classes
 
-    def relation_parts(self, d: int) -> tuple[Subspace, ...]:
-        """R_d as one subspace per class of :meth:`classes`."""
+    def _rel(self, d: int) -> GradedSubspace:
         if not 1 <= d <= self.cutoff:
             raise DegreeCap(f"degree {d} outside 1..{self.cutoff}")
-        return self._parts[d - 1]
+        return self._rels[d - 1]
 
     def relation(self, d: int) -> Subspace:
         """R_d with its flat canonical basis."""
-        return _assemble(self.classes(d), self.relation_parts(d))
+        return self._rel(d).subspace
 
     def qdim(self, d: int) -> int:
         if d == 0:
             return 1
-        return self.space.n**d - sum(part.dim for part in self.relation_parts(d))
+        return self.space.n**d - self._rel(d).dim
 
     def projection(self, d: int, k: int) -> Matrix:
         """pi_d on class k: den on the non-pivots N, -B[:, N]^T on the pivots."""
         out = self._proj.get((d, k))
         if out is None:
-            rel = self._parts[d - 1][k]
+            rel = self._rels[d - 1].parts[k]
             out = self._proj[(d, k)] = kernel_rows(rel.basis, rel.pivots)
         return out
 
     def tensor_coords(self, i: int, j: int, k: int, rows: Matrix) -> Matrix:
         """(pi_i (x) pi_j) of rows on class k of V^(x)(i+j), up to a scale per grid.
 
-        Each grid of :meth:`BraidedSpace.grids` gets the numerators of pi_j
+        Each grid of :meth:`WeightClasses.grids` gets the numerators of pi_j
         on its columns, then those of pi_i on its rows; a factor whose R is
         0 is the identity.  A row maps to zero exactly when it lies in
         :meth:`mixing_space`: the order and scale of the coordinates are
@@ -214,11 +219,11 @@ class GradedQuotient:
         """
         field, m = rows.field, rows.rows
         blocks = [np.zeros((m, 0), dtype=np.int64)]
-        for a, b, grid in self.space.grids(i, j, self._graded)[k]:
+        for a, b, grid in self.classes(i + j).grids(self.classes(i), self.classes(j))[k]:
             out = rows.num[:, grid]
             for d, c in ((j, b), (i, a)):
                 # the factor's axis is last; each step moves the other one there
-                if self._parts[d - 1][c].dim:
+                if self._rels[d - 1].parts[c].dim:
                     (s, t), proj = out.shape[1:], self.projection(d, c).num.T
                     out = matmul_num(field, out.reshape(m * s, t), proj).reshape(m, s, proj.shape[1])
                 out = out.transpose(0, 2, 1)
@@ -310,11 +315,12 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
     """
     for d in range(1, q.cutoff):
         # each b (x) e and e (x) b times pi_{d+1}^T of its class
-        for basis, w, pos in _shifted(q.space, q._graded, d, q.relation_parts(d)):
+        for basis, w, pos in _shifted(q.space.n, q._rels[d - 1], q.classes(d + 1)):
             if matmul_num(q.space.field, basis.num, q.projection(d + 1, w).num[:, pos].T).any():
                 raise BialgebraInvariantError(f"ideal closure fails from degree {d} to {d + 1}")
     for d in range(2, q.cutoff + 1):
-        for k, (rel, cols) in enumerate(zip(q.relation_parts(d), q.classes(d).cols)):
+        rels = q._rels[d - 1]
+        for k, (rel, cols) in enumerate(zip(rels.parts, rels.classes.cols)):
             if rel.dim == 0:
                 continue
             free, ident = _non_pivots(rel), Matrix.identity(q.space.field, cols.size)
@@ -338,8 +344,9 @@ def free_truncated(space: BraidedSpace, cutoff: int) -> GradedQuotient:
     if cutoff < 1:
         raise DegreeCap("cutoff must be at least 1")
     check_degree(cutoff)
-    parts = [[Subspace.zero(space.field, c.size) for c in space.classes(d).cols] for d in range(1, cutoff + 1)]
-    q = GradedQuotient(space, cutoff, parts, _validated=True)
+    classes = [space.classes(d) for d in range(1, cutoff + 1)]
+    rels = [GradedSubspace(c, tuple(Subspace.zero(space.field, cols.size) for cols in c.cols)) for c in classes]
+    q = GradedQuotient(space, cutoff, rels, _validated=True)
     _validate_quotient(q)
     return q
 
@@ -348,7 +355,7 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
     """Smallest ideal-closed relation family containing R and the generators.
 
     ``new_relations`` is a list of (degree, generators) pairs, each a flat
-    Subspace or a :class:`PrimitiveReport` of ``q``.  Generators are added
+    Subspace or a :class:`GradedSubspace` of ``q``.  Generators are added
     class by class, then one ascending sweep propagates
     R_{d+1} <- R_{d+1} + V (x) R_d + R_d (x) V, class w of R_d feeding the
     classes w + e of R_{d+1}.  It reaches the fixpoint because closure only
@@ -360,7 +367,7 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
     for d, sub in new_relations:
         if not 1 <= d <= q.cutoff:
             raise DegreeCap(f"generator degree {d} outside 1..{q.cutoff}")
-        if not isinstance(sub, PrimitiveReport):
+        if not isinstance(sub, GradedSubspace):
             if sub.ambient_dim != n**d:
                 raise AmbientMismatch(
                     f"degree-{d} generators live in dimension {n**d}, got {sub.ambient_dim}"
@@ -369,16 +376,22 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
                 raise AmbientMismatch(f"field mismatch: {sub.field} vs {space.field}")
             sub = sub.basis
         gens.append((d, sub))
-    graded, gens = _split(space, q._graded, gens)
-    parts = list(q._parts) if graded == q._graded else [(q.relation(d),) for d in range(1, q.cutoff + 1)]
+    # q's own partition first; it stays unless a generator crosses two classes
+    graded, gens = _split(space, q.classes(1) is space.classes(1), gens)
+    rels = [
+        rel if rel.classes is space.classes(d, graded) else GradedSubspace(space.classes(d, False), (rel.subspace,))
+        for d, rel in enumerate(q._rels, 1)
+    ]
     for d, rows in gens:
-        parts[d - 1] = tuple(_span(rel, [r]) for rel, r in zip(parts[d - 1], rows))
+        rel = rels[d - 1]
+        rels[d - 1] = GradedSubspace(rel.classes, tuple(_span(p, [r]) for p, r in zip(rel.parts, rows)))
     for d in range(1, q.cutoff):
-        pieces = [[] for _ in parts[d]]
-        for basis, w, pos in _shifted(space, graded, d, parts[d - 1]):
-            pieces[w].append(_place(basis, pos, parts[d][w].ambient_dim))
-        parts[d] = tuple(_span(rel, p) for rel, p in zip(parts[d], pieces))
-    out = GradedQuotient(space, q.cutoff, parts, graded, _validated=True)
+        dst = rels[d].classes
+        pieces = [[] for _ in dst.cols]
+        for basis, w, pos in _shifted(n, rels[d - 1], dst):
+            pieces[w].append(_place(basis, pos, dst.cols[w].size))
+        rels[d] = GradedSubspace(dst, tuple(_span(p, rows) for p, rows in zip(rels[d].parts, pieces)))
+    out = GradedQuotient(space, q.cutoff, rels, _validated=True)
     _validate_quotient(out, require_coideal=False)
     return out
 
@@ -388,7 +401,7 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
 # ---------------------------------------------------------------------------
 
 
-def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
+def primitives(q: GradedQuotient, d: int) -> GradedSubspace:
     """Representatives of the primitives of the quotient in degree d.
 
     An element is primitive when every mixed coproduct component vanishes in
@@ -402,15 +415,13 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
     cached = q._prim_cache.get(d)
     if cached is not None:
         return cached
-    if not 1 <= d <= q.cutoff:
-        raise DegreeCap(f"degree {d} outside 1..{q.cutoff}")
+    rels = q._rel(d)
     if not q.coideal_holds:
         raise BialgebraInvariantError(
             "the coproduct does not descend to this quotient (coideal re-check failed)"
         )
-    field, classes = q.space.field, q.classes(d)
-    parts = []
-    for k, (rel, cols) in enumerate(zip(q.relation_parts(d), classes.cols)):
+    field, parts = q.space.field, []
+    for k, (rel, cols) in enumerate(zip(rels.parts, rels.classes.cols)):
         free = _non_pivots(rel)
         units = _place(Matrix.identity(field, free.size), free, cols.size)
         kern = Subspace(cols.size, units, tuple(free.tolist()))
@@ -422,9 +433,8 @@ def primitives(q: GradedQuotient, d: int) -> PrimitiveReport:
                 continue
             kern = Subspace.from_rows(kernel_basis(images.transpose()).basis @ kern.basis)
         parts.append(kern)
-    report = PrimitiveReport(d, tuple(parts), classes)
-    q._prim_cache[d] = report
-    return report
+    out = q._prim_cache[d] = GradedSubspace(rels.classes, tuple(parts))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ the Z^n multidegree of a tensor (flip and diagonal braidings do); then
 every braid lift and coproduct component maps each weight class of words
 to itself.  :meth:`BraidedSpace.classes` gives that partition of each
 V^(x)d as a :class:`WeightClasses`; when c mixes weights it is one class.
+:meth:`WeightClasses.grids` lays a class of V^(x)(i+j) out as the tensor
+products of classes of V^(x)i and V^(x)j.
 """
 
 from __future__ import annotations
@@ -148,20 +150,6 @@ class BraidedSpace:
             self._classes[(d, graded)] = WeightClasses(codes)
         return self._classes[(d, graded)]
 
-    def grids(self, i: int, j: int, graded: bool = True) -> list[list[tuple[int, int, np.ndarray]]]:
-        """For each class of V^(x)(i+j): the pairs (a, b) of classes of V^(x)i
-        and V^(x)j whose words a (x) b make it up, each with those words'
-        places in the class as an |a| x |b| grid."""
-        whole, left, right = (self.classes(e, graded) for e in (i + j, i, j))
-        if i not in whole.grids:
-            words = np.arange(whole.label.size)
-            a, b = left.label[words // self.n**j], right.label[words % self.n**j]
-            whole.grids[i] = out = [[] for _ in whole.cols]
-            for r in group_by((whole.label * len(left.cols) + a) * len(right.cols) + b):
-                k, shape = whole.label[r[0]], (left.cols[a[r[0]]].size, -1)
-                out[k].append((a[r[0]], b[r[0]], np.searchsorted(whole.cols[k], r).reshape(shape)))
-        return whole.grids[i]
-
     def __eq__(self, other):
         if not isinstance(other, BraidedSpace):
             return NotImplemented
@@ -177,16 +165,30 @@ class WeightClasses:
     """A partition of the basis words of V^(x)d, from one code per word.
 
     ``cols[k]`` lists the words of class k in ascending order (classes in
-    ascending code) and ``label[t]`` is the class of word t.  ``grids``
-    caches :meth:`BraidedSpace.grids` by the split degree.
+    ascending code) and ``label[t]`` is the class of word t.
     """
 
-    __slots__ = ("cols", "label", "grids")
+    __slots__ = ("cols", "label", "_grids")
 
     def __init__(self, codes: np.ndarray):
-        self.cols, self.label, self.grids = group_by(codes), np.empty(codes.size, dtype=np.int64), {}
+        self.cols, self.label, self._grids = group_by(codes), np.empty(codes.size, dtype=np.int64), {}
         for k, cols in enumerate(self.cols):
             self.label[cols] = k
+
+    def grids(self, left: "WeightClasses", right: "WeightClasses") -> list[list[tuple[int, int, np.ndarray]]]:
+        """These classes as words a (x) b, ``left`` and ``right`` the classes
+        of the factors: for each class, the pairs (a, b) of factor classes
+        whose words make it up, each with those words' places in the class
+        as an |a| x |b| grid (cached per pair of partitions)."""
+        out = self._grids.get((left, right))
+        if out is None:
+            words, size = np.arange(self.label.size), right.label.size
+            a, b = left.label[words // size], right.label[words % size]
+            out = self._grids[(left, right)] = [[] for _ in self.cols]
+            for r in group_by((self.label * len(left.cols) + a) * len(right.cols) + b):
+                k, shape = self.label[r[0]], (left.cols[a[r[0]]].size, -1)
+                out[k].append((a[r[0]], b[r[0]], np.searchsorted(self.cols[k], r).reshape(shape)))
+        return out
 
 
 def group_by(codes: np.ndarray) -> list[np.ndarray]:

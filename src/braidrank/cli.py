@@ -335,25 +335,10 @@ def _stage_chunks(degrees):
     return _json_chunks((degree(*item) for item in degrees), 2, "{}")
 
 
-def _flat_rows(classes, parts):
-    """Each row of the flat rref basis with class bases ``parts``, in pivot order, as scalars."""
-    cols = [c.tolist() for c in classes.cols]
-    rows = sorted((cols[k][p], k, r) for k, part in enumerate(parts) for r, p in enumerate(part.pivots))
-    for _, k, r in rows:
-        row, basis = [0] * classes.label.size, parts[k].basis
-        for c, v in zip(cols[k], basis.num[r].tolist()):
-            if v:
-                row[c] = Fraction(v, basis.den) if basis.field.is_rationals else v
-        yield row
-
-
-def _computed_stage_chunks(rels):
-    """A stage's relations R_1..R_D, from (classes, class bases) per degree."""
-
-    def degree(d, classes, parts):
-        return str(d), _flat_rows(classes, parts), _Memo(lambda v: _json_str(format_scalar(v, parts[0].field)))
-
-    return _stage_chunks(degree(d, *rel) for d, rel in enumerate(rels, 1))
+def _computed_stage_chunks(field, rels):
+    """A stage's relations R_1..R_D, from each degree's graded subspace."""
+    texts = _Memo(lambda v: _json_str(format_scalar(v, field)))
+    return _stage_chunks((str(d), rel.rows(), texts) for d, rel in enumerate(rels, 1))
 
 
 def _is_text_grid(stage) -> bool:
@@ -427,8 +412,7 @@ class _StageCache:
         return stages, q
 
     def record(self, q: GradedQuotient, rep: StageReport):
-        rels = [(q.classes(d), q.relation_parts(d)) for d in range(1, q.cutoff + 1)]
-        self.stages.append(functools.partial(_computed_stage_chunks, rels))
+        self.stages.append(functools.partial(_computed_stage_chunks, q.space.field, q._rels))
 
     def save(self, report: RankReport, max_iter: int):
         # rewrite only when new stages were computed, so a shorter request
@@ -481,11 +465,9 @@ def _basis_label(idx: int, n: int, d: int) -> str:
     return "e" + "".join(str(t) for t in reversed(digits))
 
 
-def _pretty_vector(row: Matrix, n: int, d: int) -> str:
-    field = row.field
+def _pretty_vector(row: list, field, n: int, d: int) -> str:
     terms = []
-    for idx in range(row.cols):
-        v = row.entry(0, idx)
+    for idx, v in enumerate(row):
         if v == 0:
             continue
         label = _basis_label(idx, n, d)
@@ -677,8 +659,8 @@ def primitives_cmd(input_path, cutoff, max_iter, cache_dir, as_json, stage, degr
         click.echo(dumps_report(doc), nl=False)
     else:
         click.echo(f"primitives at stage {stage}, degree {degree}: dimension {sub.dim}")
-        for k in range(sub.dim):
-            click.echo(_pretty_vector(sub.basis.take_rows([k]), space.n, degree))
+        for row in sub.basis.scalar_rows():
+            click.echo(_pretty_vector(row, space.field, space.n, degree))
     sys.exit(0)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bialgebra import GradedQuotient, _validate_quotient
+from .bialgebra import GradedQuotient, GradedSubspace, _validate_quotient
 from .braiding import BraidedSpace, check_degree
 from .errors import ConfigMismatch, DegreeCap
 from .exactlin import Matrix, Subspace, intersect, kernel_basis
@@ -33,9 +33,10 @@ def nichols_truncation(space: BraidedSpace, cutoff: int) -> GradedQuotient:
     if cutoff < 1:
         raise DegreeCap("cutoff must be at least 1")
     check_degree(cutoff)
-    syms = (symmetrizer(space, d) for d in range(1, cutoff + 1))
-    rels = [[kernel_basis(s.take_rows(c).take_columns(c)) for c in space.classes(d).cols]
-            for d, s in enumerate(syms, 1)]
+    rels = []
+    for d in range(1, cutoff + 1):
+        s, classes = symmetrizer(space, d), space.classes(d)
+        rels.append(GradedSubspace(classes, tuple(kernel_basis(s.take_rows(c).take_columns(c)) for c in classes.cols)))
     q = GradedQuotient(space, cutoff, rels, _validated=True)
     _validate_quotient(q)
     return q

@@ -529,6 +529,38 @@ def test_relation_documents_are_golden(name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RELATIONS[name][2]
 
 
+# sha256 of the stdout of `primitives --json --stage S --degree d`, the one
+# CLI output built from the flat form of a per-class primitive space;
+# recorded before that space had its own value type
+PRIMITIVE_JOBS = {
+    "flip n=3 D=5 QQ": {**FLIP2, "dimension": 3},
+    "A2 q=-1 D=6 QQ": {**FLIP2, "braiding": {"kind": "diagonal", "q": [["-1", "1"], ["-1", "-1"]]}, "degree_cutoff": 6},
+    "flip n=2 D=6 GF(3)": {**FLIP2, "field": {"kind": "prime", "p": 3}, "degree_cutoff": 6},
+}
+GOLDEN_PRIMITIVES = {
+    ("flip n=3 D=5 QQ", 0, 2): "353f49a89565b6a5da4edea7d8d750a383ed469300cc1234f662ea1a07eb2292",
+    ("flip n=3 D=5 QQ", 0, 3): "e67287d122b03ab057e49b42f4fadbe849882f8916b748cfc148a4c477bbcf2a",
+    ("flip n=3 D=5 QQ", 0, 4): "807aef86240889993817df3e9df61c9803a379debef0e95f3813ca4ff2837c65",
+    ("A2 q=-1 D=6 QQ", 0, 2): "654458c4e27c891857a8ce4a229e456a7ce1ced9b9f7d71dedd0d85c0e5845b5",
+    ("A2 q=-1 D=6 QQ", 0, 3): "bec24b89c6e56b6e58bff298e9fa840126b3805df18393de57c2634357a88417",
+    ("A2 q=-1 D=6 QQ", 0, 4): "3fa722d677cbffd1986ed0e86506e535a985352955786854fa3d11f45b7dd40e",
+    ("A2 q=-1 D=6 QQ", 1, 2): "157bd3a75b23b4b539f2364a31157f9083450e013133953908117e78898d5110",
+    ("A2 q=-1 D=6 QQ", 1, 3): "b007286a7916420069321f2bed68b10b65266dbd4b553d43a67110f8d0c56479",
+    ("A2 q=-1 D=6 QQ", 1, 4): "4a67152be173c4bc17ad8079a477bae771a6e4e5b1ad5a3aebb5503f67b5e3a8",
+    ("flip n=2 D=6 GF(3)", 0, 2): "b709749ca0c444cd85454f6e06b5fc2d381140117556bb7a5afc08aff1f59e72",
+    ("flip n=2 D=6 GF(3)", 0, 3): "015396830d856a34dafb1fd00e167ba2af6d8b41aafe63fbfdbf269e222f640f",
+    ("flip n=2 D=6 GF(3)", 0, 4): "22e1edc38313a4c1fd2ad0e58921c12a1e98980533fb1336d83dc1cdf000b305",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_PRIMITIVES), ids=lambda key: f"{key[0]} stage {key[1]} degree {key[2]}")
+def test_primitive_documents_are_golden(key):
+    job, stage, degree = key
+    res = invoke(["primitives", "--json", "--stage", str(stage), "--degree", str(degree)], doc=PRIMITIVE_JOBS[job])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_PRIMITIVES[key]
+
+
 def _saved_document(path, report, quotients, max_iter):
     """The text ``_StageCache.save`` writes for ``quotients``, one per stage."""
     cache = cli._StageCache(str(path))

@@ -25,7 +25,7 @@ from braidrank import (
     rref,
 )
 from braidrank import _accel
-from braidrank.bialgebra import _assemble, _class_rows, _split
+from braidrank.bialgebra import GradedSubspace, _class_rows, _split
 from braidrank.braiding import WeightClasses
 from braidrank.exactlin import vstack
 
@@ -482,6 +482,11 @@ def labelled_rows(draw):
     if draw(st.integers(0, 3)) == 0:
         rows.append([draw(entry) for _ in codes])  # usually crosses classes
     return Matrix.from_scalars(field, rows), np.array(codes, dtype=np.int64)
+
+
+def _assemble(classes, parts):
+    """The flat canonical basis of the subspace with the class bases ``parts``."""
+    return GradedSubspace(classes, tuple(parts)).subspace
 
 
 def _same_subspace(a, b):
