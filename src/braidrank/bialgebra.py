@@ -264,18 +264,16 @@ class GradedQuotient:
         return f"GradedQuotient(n={self.space.n}, D={self.cutoff}, hilbert={hilbert_series(self)})"
 
 
-def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix, transposed=False, cols=None) -> Matrix:
+def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix, cols: np.ndarray, transposed=False) -> Matrix:
     """rows @ Delta_{i,j}^T, or rows @ Delta_{i,j} when ``transposed``.
 
-    The rows live on the words ``cols`` of a class (all words when None),
-    which Delta maps to itself.  For a monomial braiding, rows @ Delta is the
+    The rows live on the words ``cols`` of a class, which Delta maps to
+    itself.  For a monomial braiding, rows @ Delta is the
     sum over the terms of :func:`braidrank.shuffle._monomial_delta` of
     rows[:, tgt] * num, and rows @ Delta^T uses each term's inverse
     permutation; any other braiding multiplies by the class's block of
     :func:`braidrank.shuffle.delta_component`.
     """
-    if cols is None:
-        cols = np.arange(space.n ** (i + j))
     if not space.is_monomial:
         delta = shuffle.delta_component(space, i, j).take_rows(cols).take_columns(cols)
         return rows @ (delta if transposed else delta.transpose())
@@ -329,7 +327,7 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
                 # M = (pi_i (x) pi_{d-i}) Delta_{i,d-i} on the class, one row per
                 # coordinate; B[:, P] = Id, so M B^T = M[:, P] + M[:, N] B[:, N]^T
                 coords = q.tensor_coords(i, d - i, k, ident).transpose()
-                cov = _apply_delta_rows(q.space, i, d - i, coords, transposed=True, cols=cols)
+                cov = _apply_delta_rows(q.space, i, d - i, coords, cols, transposed=True)
                 if not (cov.take_columns(rel.pivots) + cov.take_columns(free) @ tail).is_zero():
                     if require_coideal:
                         raise BialgebraInvariantError(
@@ -428,7 +426,7 @@ def primitives(q: GradedQuotient, d: int) -> GradedSubspace:
         for i in range(1, d):
             if kern.dim == 0:
                 break
-            images = q.tensor_coords(i, d - i, k, _apply_delta_rows(q.space, i, d - i, kern.basis, cols=cols))
+            images = q.tensor_coords(i, d - i, k, _apply_delta_rows(q.space, i, d - i, kern.basis, cols))
             if images.is_zero():
                 continue
             kern = Subspace.from_rows(kernel_basis(images.transpose()).basis @ kern.basis)

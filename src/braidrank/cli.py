@@ -58,7 +58,8 @@ def _read_document(input_path: str) -> dict:
         raise ParseError(f"cannot read input: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # nesting deeper than the interpreter's recursion limit is malformed too
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("job document must be a JSON object")
@@ -285,9 +286,19 @@ def _claim_output(path: str):
         _fail_output(exc)
 
 
-def _stage_from_doc(k, doc) -> StageReport:
+def _stage_from_doc(k, doc, cutoff: int, last: int) -> StageReport:
+    """Stage ``k`` of a document whose last stage is ``last``; its series and
+    dimensions have the cutoff's lengths, and only the last stage is iso."""
     hilbert, dims, iso = doc["hilbert"], doc["new_relation_dims"], doc["iso"]
-    if not (_int_list(hilbert) and _int_list(dims) and isinstance(iso, bool)):
+    if not (
+        _int_list(hilbert)
+        and len(hilbert) == cutoff + 1
+        and _int_list(dims)
+        and len(dims) == cutoff - 1
+        and isinstance(iso, bool)
+        and iso == (not any(dims))
+        and (k == last or not iso)
+    ):
         raise ValueError(f"cached stage {k} is malformed")
     return StageReport(
         stage=k,
@@ -380,9 +391,10 @@ class _StageCache:
         """The cached stages usable under ``max_iter`` and the quotient after them.
 
         Only the last usable stage's relations are parsed, and they go
-        through the full invariant re-check.  A missing document, or one
-        that fails any check, is a miss: the run starts from the free object
-        and the document is rewritten.
+        through the full invariant re-check; that stage's Hilbert series
+        must be the rebuilt quotient's.  A missing document, or one that
+        fails any check, is a miss: the run starts from the free object and
+        the document is rewritten.
         """
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -398,14 +410,16 @@ class _StageCache:
             ):
                 raise ValueError("cache document out of shape")
             usable = min(len(doc_stages), max_iter)
-            stages = [_stage_from_doc(k, doc_stages[k]) for k in range(usable)]
+            stages = [_stage_from_doc(k, doc_stages[k], cutoff, len(doc_stages) - 1) for k in range(usable)]
             if usable:
                 q = _quotient_from_doc(space, cutoff, doc_rels[usable - 1])
+                if list(stages[-1].hilbert) != hilbert_series(q):
+                    raise ValueError("cached Hilbert series disagrees with the cached relations")
             else:
                 q = free_truncated(space, cutoff)
         # a file on disk can hold anything: each of these is a malformed
         # document, and a failed re-check raises a BraidrankError
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, BraidrankError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError, BraidrankError):
             return [], free_truncated(space, cutoff)
         self.doc = doc
         self.stages = [functools.partial(_loaded_stage_chunks, rels) for rels in doc_rels[:usable]]
@@ -509,13 +523,17 @@ def _human_rank_lines(spec: JobSpec, rep: RankReport) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+_input_option = click.option("--input", "input_path", default="-", help="job JSON (file or - for stdin)")
+_json_option = click.option("--json", "as_json", is_flag=True, help="machine-readable stdout")
+
+
 def _common(fn):
-    fn = click.option("--input", "input_path", default="-", help="job JSON (file or - for stdin)")(fn)
+    """The options of every command that runs the tower."""
+    fn = _input_option(fn)
     fn = click.option("--cutoff", type=int, default=None, help="override degree_cutoff")(fn)
     fn = click.option("--max-iter", "max_iter", type=int, default=None, help="override max_iter")(fn)
     fn = click.option("--cache", "cache_dir", default=None, help="stage cache directory")(fn)
-    fn = click.option("--json", "as_json", is_flag=True, help="machine-readable stdout")(fn)
-    return fn
+    return _json_option(fn)
 
 
 @click.group()
@@ -553,13 +571,14 @@ def _load_job(input_path, cutoff, max_iter, oracle=None, check_options=None):
 
 
 @main.command()
-@_common
-def check(input_path, cutoff, max_iter, cache_dir, as_json):
+@_input_option
+@_json_option
+def check(input_path, as_json):
     """Validate a braiding: invertibility plus the braid equation."""
     try:
         doc = _read_document(input_path)
         doc.setdefault("degree_cutoff", 1)
-        space = JobSpec(doc, cutoff, max_iter).build_space()
+        space = JobSpec(doc).build_space()
     except ParseError as exc:
         _fail_parse(exc)
     except BraidrankError as exc:

@@ -20,8 +20,11 @@ from functools import reduce
 from itertools import accumulate, product
 from typing import Callable
 
+import numpy as np
+
 from .bialgebra import (
     GradedQuotient,
+    _place,
     free_truncated,
     hilbert_series,
     ideal_saturate,
@@ -29,7 +32,7 @@ from .bialgebra import (
 )
 from .braiding import BraidedSpace, make_from_matrix
 from .errors import BialgebraInvariantError, DimensionMismatch, EnvelopeExceeded
-from .exactlin import Matrix, hstack, vstack
+from .exactlin import Matrix, vstack
 from .shuffle import block_transposition
 
 __all__ = [
@@ -169,9 +172,7 @@ class _PrimitiveSpace:
 
     def _place(self, d: int, mat: Matrix) -> Matrix:
         """P_d-coordinate columns widened to W-coordinates by zero blocks."""
-        lo, hi = self.offsets[d - 1], self.offsets[d]
-        left, right = (Matrix.zeros(self.field, mat.rows, k) for k in (lo, self.total - hi))
-        return hstack([left, mat, right])
+        return _place(mat, np.arange(self.offsets[d - 1], self.offsets[d]), self.total)
 
     def coords(self, d: int, rows: Matrix) -> Matrix | None:
         """W-coordinates of rows of V^(x)d; None when a row is not in P_d."""

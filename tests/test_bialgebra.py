@@ -160,7 +160,7 @@ def test_primitives_respect_mixed_component_condition():
         if rep.subspace.dim == 0:
             continue
         for i in range(1, d):
-            img = _apply_delta_rows(space, i, d - i, rep.subspace.basis)
+            img = _apply_delta_rows(space, i, d - i, rep.subspace.basis, np.arange(space.n**d))
             assert q.mixing_space(i, d - i).contains_rows(img)
 
 
@@ -197,7 +197,8 @@ def test_tensor_coords_kernel_is_the_mixing_space():
             for d in range(2, cutoff + 1):
                 for i in range(1, d):
                     mixing = q.mixing_space(i, d - i)
-                    images = _apply_delta_rows(space, i, d - i, Matrix.identity(space.field, space.n**d))
+                    words = np.arange(space.n**d)
+                    images = _apply_delta_rows(space, i, d - i, Matrix.identity(space.field, space.n**d), words)
                     rows = vstack([images, mixing.basis]) if mixing.dim else images
                     projected_zero = ~(_flat_tensor_coords(q, i, d - i, rows).num != 0).any(axis=1)
                     inside = ~(mixing.reduce_rows(rows).num != 0).any(axis=1)
@@ -228,13 +229,15 @@ def test_scatter_application_matches_dense_product():
                 [[(r * 7 + c * 3 + 1) % 5 - 2 for c in range(size)] for r in range(3)],
             )
             delta = delta_component(space, i, j)
-            assert _apply_delta_rows(space, i, j, rows) == rows @ delta.transpose(), (space, i, j)
-            assert _apply_delta_rows(space, i, j, rows, transposed=True) == rows @ delta, (space, i, j)
+            words = np.arange(size)
+            assert _apply_delta_rows(space, i, j, rows, words) == rows @ delta.transpose(), (space, i, j)
+            assert _apply_delta_rows(space, i, j, rows, words, transposed=True) == rows @ delta, (space, i, j)
 
     # at d = 8 these splits of the A2 pair have object-dtype terms; int64
     # row blocks whose bound is 0 (no rows, all zeros) must still promote
     space = cases[2]
     size = space.n**8
+    words = np.arange(size)
     blocks = [
         Matrix.zeros(RATIONALS, 0, size),
         Matrix.zeros(RATIONALS, 2, size),
@@ -244,8 +247,8 @@ def test_scatter_application_matches_dense_product():
         assert shuffle._monomial_delta(space, i, j)[1].dtype == object
         delta = delta_component(space, i, j)
         for rows in blocks:
-            assert _apply_delta_rows(space, i, j, rows) == rows @ delta.transpose(), (i, j, rows.rows)
-            assert _apply_delta_rows(space, i, j, rows, transposed=True) == rows @ delta, (i, j, rows.rows)
+            assert _apply_delta_rows(space, i, j, rows, words) == rows @ delta.transpose(), (i, j, rows.rows)
+            assert _apply_delta_rows(space, i, j, rows, words, transposed=True) == rows @ delta, (i, j, rows.rows)
 
 
 def test_hilbert_nonincreasing_under_saturation():

@@ -83,9 +83,25 @@ def test_check_reports_witness_on_bad_braiding():
     assert doc["witness"] is not None and len(doc["witness"]) == 3
 
 
+# nesting past the interpreter's recursion limit
+DEEPLY_NESTED = "[" * 200000 + "]" * 200000
+
+
 def test_check_malformed_json_exits_2():
-    res = invoke(["check"], text="{not json")
-    assert res.exit_code == 2
+    for command, text in [("check", "{not json"), ("check", DEEPLY_NESTED), ("rank", DEEPLY_NESTED)]:
+        res = invoke([command], text=text)
+        assert res.exit_code == 2, (command, text[:9])
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error: malformed JSON:"), (command, text[:9])
+
+
+def test_check_takes_only_input_and_json(tmp_path):
+    # check never runs the tower: options it would ignore are usage errors
+    cache = tmp_path / "cache"
+    for extra in (["--cache", str(cache)], ["--cutoff", "3"], ["--max-iter", "1"]):
+        assert invoke(["check", *extra], doc=FLIP2).exit_code == 2, extra
+    assert not cache.exists()
+    assert invoke(["check", "--json", "--input", "-"], doc=FLIP2).exit_code == 0
 
 
 def test_check_schema_error_exits_2():
@@ -338,6 +354,33 @@ def _drop_hilbert(doc):
     del doc["report"]["stages"][0]["hilbert"]
 
 
+def _tampered_hilbert(doc):
+    # well-formed, but not the series of the cached relations
+    doc["report"]["stages"][-1]["hilbert"] = [1, 9, 9, 9, 9, 9]
+
+
+def _short_hilbert(doc):
+    doc["report"]["stages"][0]["hilbert"].pop()
+
+
+def _long_new_relation_dims(doc):
+    doc["report"]["stages"][-1]["new_relation_dims"].append(0)
+
+
+def _iso_with_new_relations(doc):
+    doc["report"]["stages"][-1]["new_relation_dims"][0] = 1
+
+
+def _iso_before_the_last_stage(doc):
+    stage = doc["report"]["stages"][0]
+    stage["iso"], stage["new_relation_dims"] = True, [0, 0, 0, 0]
+
+
+def _deeply_nested(doc):
+    # the returned text replaces the document
+    return DEEPLY_NESTED
+
+
 def _bad_scalar(doc):
     doc["stage_relations"][-1]["2"][0][0] = "1/x"
 
@@ -379,6 +422,12 @@ def _breaks_only_the_coideal(doc):
         _row_too_long,
         _breaks_ideal_closure,
         _breaks_only_the_coideal,
+        _tampered_hilbert,
+        _short_hilbert,
+        _long_new_relation_dims,
+        _iso_with_new_relations,
+        _iso_before_the_last_stage,
+        _deeply_nested,
     ],
 )
 def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
@@ -389,9 +438,9 @@ def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     with open(path) as fh:
         written = fh.read()
     doc = json.loads(written)
-    corrupt(doc)
+    text = corrupt(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc) if text is None else text)
     again = invoke(["rank", "--json", "--cache", cache], doc=FLIP2)
     nocache = invoke(["rank", "--json"], doc=FLIP2)
     assert again.exit_code == nocache.exit_code == cold.exit_code == 0
