@@ -317,8 +317,8 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
             if matmul_num(q.space.field, basis.num, q.projection(d + 1, w).num[:, pos].T).any():
                 raise BialgebraInvariantError(f"ideal closure fails from degree {d} to {d + 1}")
     for d in range(2, q.cutoff + 1):
-        rels = q._rels[d - 1]
-        for k, (rel, cols) in enumerate(zip(rels.parts, rels.classes.cols)):
+        r_d = q._rels[d - 1]
+        for k, (rel, cols) in enumerate(zip(r_d.parts, r_d.classes.cols)):
             if rel.dim == 0:
                 continue
             free, ident = _non_pivots(rel), Matrix.identity(q.space.field, cols.size)
@@ -413,13 +413,13 @@ def primitives(q: GradedQuotient, d: int) -> GradedSubspace:
     cached = q._prim_cache.get(d)
     if cached is not None:
         return cached
-    rels = q._rel(d)
+    r_d = q._rel(d)
     if not q.coideal_holds:
         raise BialgebraInvariantError(
             "the coproduct does not descend to this quotient (coideal re-check failed)"
         )
     field, parts = q.space.field, []
-    for k, (rel, cols) in enumerate(zip(rels.parts, rels.classes.cols)):
+    for k, (rel, cols) in enumerate(zip(r_d.parts, r_d.classes.cols)):
         free = _non_pivots(rel)
         units = _place(Matrix.identity(field, free.size), free, cols.size)
         kern = Subspace(cols.size, units, tuple(free.tolist()))
@@ -431,7 +431,7 @@ def primitives(q: GradedQuotient, d: int) -> GradedSubspace:
                 continue
             kern = Subspace.from_rows(kernel_basis(images.transpose()).basis @ kern.basis)
         parts.append(kern)
-    out = q._prim_cache[d] = GradedSubspace(rels.classes, tuple(parts))
+    out = q._prim_cache[d] = GradedSubspace(r_d.classes, tuple(parts))
     return out
 
 

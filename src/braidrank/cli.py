@@ -58,7 +58,7 @@ def _read_document(input_path: str) -> dict:
         raise ParseError(f"cannot read input: {exc}") from None
     try:
         doc = json.loads(text)
-    # nesting deeper than the interpreter's recursion limit is malformed too
+    # nesting deeper than the interpreter's recursion limit raises RecursionError
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
