@@ -184,7 +184,7 @@ class GradedQuotient:
     # -- structure ----------------------------------------------------------
 
     def classes(self, d: int) -> WeightClasses:
-        return self._rels[d - 1].classes
+        return self._rel(d).classes
 
     def _rel(self, d: int) -> GradedSubspace:
         if not 1 <= d <= self.cutoff:

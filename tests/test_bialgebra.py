@@ -46,6 +46,12 @@ def test_free_truncated_cap():
         free_truncated(make_flip(2, RATIONALS), 0)
     with pytest.raises(DegreeCap):
         free_truncated(make_flip(2, RATIONALS), 13)
+    # a quotient knows its degrees 1..D only
+    q = free_truncated(make_flip(2, RATIONALS), 3)
+    for d in (-1, 0, 4):
+        for accessor in (q.classes, q.relation):
+            with pytest.raises(DegreeCap):
+                accessor(d)
 
 
 def test_saturate_empty_is_identity_op():
