@@ -13,13 +13,15 @@ The optional cache directory stores per-stage relation bases keyed by a
 stable hash of (field, braiding entries, cutoff).  It is a thin layer over
 ``tower.run``: hits are bit-identical to recomputation, partial runs are
 resumed instead of restarted, and a document that fails any check is
-recomputed and overwritten.
+recomputed and overwritten.  Every stage read must fit its report: degree
+d holds n**d - hilbert[d] rows of n**d strings.  Only the stage a run resumes
+from is parsed, re-checked and has its series recomputed; no stage's
+``new_relation_dims`` is recomputed, only checked for length and ``iso``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import os
@@ -32,7 +34,7 @@ import numpy as np
 from . import bialgebra, tower
 from .bialgebra import GradedQuotient, free_truncated, hilbert_series, primitives
 from .braiding import DEGREE_CAP, DIMENSION_CAP, BraidedSpace, make_diagonal, make_flip, make_from_matrix
-from .errors import AmbientMismatch, BraidrankError, InvalidField
+from .errors import BraidrankError, InvalidField
 from .exactlin import FieldSpec, GF, Matrix, RATIONALS, Subspace, format_scalar
 from .nichols_oracle import compare, nichols_truncation
 from .tower import RankReport, StageReport
@@ -204,15 +206,11 @@ def _subspace_doc(sub: Subspace, field) -> list:
 
 
 def _rows_from_doc(field, ambient, rows) -> Matrix:
+    """The rows of one degree of a stage :func:`_stage_from_doc` accepted."""
     if not rows:
         return Matrix.zeros(field, 0, ambient)
-    if not all(isinstance(row, list) and len(row) == ambient for row in rows):
-        raise AmbientMismatch(f"relation rows must be lists of length {ambient}, the dimension of V^(x)d")
-    texts = [x for row in rows for x in row]
-    if not all(isinstance(x, str) for x in texts):
-        raise ValueError("relation entries must be scalar strings")
     # parse each distinct string once, over one common denominator
-    distinct, where = np.unique(np.array(texts), return_inverse=True)
+    distinct, where = np.unique(np.array([x for row in rows for x in row]), return_inverse=True)
     values = Matrix.from_scalars(field, [distinct.tolist()])
     num = values.num[0][where].reshape(len(rows), ambient)
     return Matrix.build(field, num, values.den)
@@ -226,7 +224,7 @@ def _quotient_relations_doc(q: GradedQuotient) -> dict:
 
 
 def _quotient_from_doc(space: BraidedSpace, cutoff: int, doc: dict) -> GradedQuotient:
-    rows = [_rows_from_doc(space.field, space.n**d, doc.get(str(d), [])) for d in range(1, cutoff + 1)]
+    rows = [_rows_from_doc(space.field, space.n**d, doc[str(d)]) for d in range(1, cutoff + 1)]
     q = GradedQuotient.from_rows(space, cutoff, rows, _validated=True)
     bialgebra._validate_quotient(q)
     return q
@@ -286,18 +284,24 @@ def _claim_output(path: str):
         _fail_output(exc)
 
 
-def _stage_from_doc(k, doc, cutoff: int, last: int) -> StageReport:
-    """Stage ``k`` of a document whose last stage is ``last``; its series and
-    dimensions have the cutoff's lengths, and only the last stage is iso."""
-    hilbert, dims, iso = doc["hilbert"], doc["new_relation_dims"], doc["iso"]
+def _stage_from_doc(k, report, rels, n: int, cutoff: int, last: int) -> StageReport:
+    """Stage ``k`` of a document whose last stage is ``last``: its series (1 in
+    degree 0) and dimensions have the cutoff's lengths, only the last stage is
+    iso, and its relations ``rels`` (not parsed here) hold n**d - hilbert[d]
+    rows of n**d strings under each key "1".."D", in order."""
+    hilbert, dims, iso = report["hilbert"], report["new_relation_dims"], report["iso"]
     if not (
         _int_list(hilbert)
         and len(hilbert) == cutoff + 1
+        and hilbert[0] == 1
         and _int_list(dims)
         and len(dims) == cutoff - 1
         and isinstance(iso, bool)
         and iso == (not any(dims))
         and (k == last or not iso)
+        and type(rels) is dict
+        and list(rels) == [str(d) for d in range(1, cutoff + 1)]
+        and all(_text_rows(rows, n**d, n**d - hilbert[d]) for d, rows in enumerate(rels.values(), 1))
     ):
         raise ValueError(f"cached stage {k} is malformed")
     return StageReport(
@@ -310,6 +314,13 @@ def _stage_from_doc(k, doc, cutoff: int, last: int) -> StageReport:
 
 def _int_list(value) -> bool:
     return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _text_rows(rows, width: int, count: int) -> bool:
+    """True when ``rows`` is ``count`` lists of ``width`` strings each."""
+    return type(rows) is list and len(rows) == count and all(
+        type(row) is list and len(row) == width and set(map(type, row)) == {str} for row in rows
+    )
 
 
 # The cache document is json.dumps(doc, indent=1) + "\n", written as a stream
@@ -336,37 +347,15 @@ def _row_text(row, texts) -> str:
     return "[\n     " + _ROW_SEP.join(map(texts.__getitem__, row)) + "\n    ]"
 
 
-def _stage_chunks(degrees):
-    """One entry of ``stage_relations``, from (key, rows, texts) per degree."""
+def _stage_chunks(rels, texts):
+    """One entry of ``stage_relations``: the rows of R_1..R_D in ``rels``,
+    under the keys "1".."D"."""
 
-    def degree(key, rows, texts):
-        yield _json_str(key) + ": "
+    def degree(d, rows):
+        yield f'"{d}": '
         yield from _json_chunks(([_row_text(row, texts)] for row in rows), 3)
 
-    return _json_chunks((degree(*item) for item in degrees), 2, "{}")
-
-
-def _computed_stage_chunks(field, rels):
-    """A stage's relations R_1..R_D, from each degree's graded subspace."""
-    texts = _Memo(lambda v: _json_str(format_scalar(v, field)))
-    return _stage_chunks((str(d), rel.rows(), texts) for d, rel in enumerate(rels, 1))
-
-
-def _is_text_grid(stage) -> bool:
-    """True when ``stage`` has the shape of a relations document: {key: [[str, ...]]}."""
-    return type(stage) is dict and all(
-        type(rows) is list and all(type(row) is list and row and set(map(type, row)) == {str} for row in rows)
-        for rows in stage.values()
-    )
-
-
-def _loaded_stage_chunks(stage):
-    """A stage carried over from the document a run resumed from."""
-    if _is_text_grid(stage):
-        yield from _stage_chunks((key, rows, _Memo(_json_str)) for key, rows in stage.items())
-    else:
-        # any other JSON value: its own indent=1 text, two levels deep
-        yield json.dumps(stage, indent=1).replace("\n", "\n  ")
+    return _json_chunks((degree(d, rows) for d, rows in enumerate(rels, 1)), 2, "{}")
 
 
 def _document_chunks(head: dict, stages):
@@ -382,19 +371,22 @@ class _StageCache:
 
     def __init__(self, path: str):
         self.path = path
-        self.doc = None
-        # a call that yields the chunks of each stage's relations: those
-        # carried over from the document, then those of each new stage
+        # the stage count and max_iter of the document read; None on a miss
+        self.doc_stages = None
+        self.doc_max_iter = 0
+        # (rows of R_1..R_D, entry -> JSON text) of each stage: those read
+        # from the document, then each new stage's
         self.stages: list = []
 
     def resume_point(self, space: BraidedSpace, cutoff: int, max_iter: int):
         """The cached stages usable under ``max_iter`` and the quotient after them.
 
-        Only the last usable stage's relations are parsed, and they go
-        through the full invariant re-check; that stage's Hilbert series
-        must be the rebuilt quotient's.  A missing document, or one that
-        fails any check, is a miss: the run starts from the free object and
-        the document is rewritten.
+        Every usable stage must fit its report (:func:`_stage_from_doc`).
+        Only the last one's relations are parsed, and they go through the
+        full invariant re-check; its Hilbert series must be the rebuilt
+        quotient's.  A missing document, or one that fails any check, is a
+        miss: the run starts from the free object and the document is
+        rewritten.
         """
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -410,7 +402,8 @@ class _StageCache:
             ):
                 raise ValueError("cache document out of shape")
             usable = min(len(doc_stages), max_iter)
-            stages = [_stage_from_doc(k, doc_stages[k], cutoff, len(doc_stages) - 1) for k in range(usable)]
+            last = len(doc_stages) - 1
+            stages = [_stage_from_doc(k, doc_stages[k], doc_rels[k], space.n, cutoff, last) for k in range(usable)]
             if usable:
                 q = _quotient_from_doc(space, cutoff, doc_rels[usable - 1])
                 if list(stages[-1].hilbert) != hilbert_series(q):
@@ -421,24 +414,26 @@ class _StageCache:
         # document, and a failed re-check raises a BraidrankError
         except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError, BraidrankError):
             return [], free_truncated(space, cutoff)
-        self.doc = doc
-        self.stages = [functools.partial(_loaded_stage_chunks, rels) for rels in doc_rels[:usable]]
+        self.doc_stages, self.doc_max_iter = len(doc_stages), doc["max_iter"]
+        self.stages = [(rels.values(), _Memo(_json_str)) for rels in doc_rels[:usable]]
         return stages, q
 
     def record(self, q: GradedQuotient, rep: StageReport):
-        self.stages.append(functools.partial(_computed_stage_chunks, q.space.field, q._rels))
+        field = q.space.field
+        texts = _Memo(lambda v: _json_str(format_scalar(v, field)))
+        self.stages.append(([rel.rows() for rel in q._rels], texts))
 
     def save(self, report: RankReport, max_iter: int):
         # rewrite only when new stages were computed, so a shorter request
         # never truncates a longer cached run
-        if self.doc is not None and len(self.stages) <= len(self.doc["stage_relations"]):
+        if self.doc_stages is not None and len(self.stages) <= self.doc_stages:
             return
         head = {
             "version": 1,
-            "max_iter": max(max_iter, self.doc["max_iter"] if self.doc else 0),
+            "max_iter": max(max_iter, self.doc_max_iter),
             "report": rank_report_doc(report),
         }
-        _atomic_write(self.path, _document_chunks(head, (stage() for stage in self.stages)))
+        _atomic_write(self.path, _document_chunks(head, (_stage_chunks(*stage) for stage in self.stages)))
 
 
 def _run_tower_cached(

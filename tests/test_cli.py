@@ -381,6 +381,50 @@ def _deeply_nested(doc):
     return DEEPLY_NESTED
 
 
+def _tampered_earlier_hilbert(doc):
+    # well-formed and weakly above the next stage, but degree 5 of stage 0
+    # holds 26 relation rows, not 32 - 7
+    doc["report"]["stages"][0]["hilbert"] = [1, 2, 3, 4, 5, 7]
+
+
+def _earlier_hilbert_not_1_in_degree_0(doc):
+    doc["report"]["stages"][0]["hilbert"][0] = 2
+
+
+# stage 0 is not the stage the run resumes from: its scalars are never
+# parsed, but it must still have the shape its report gives
+
+
+def _entries_not_strings(doc):
+    doc["stage_relations"][0]["2"] = [["0", 1, None, ["0"]]]
+
+
+def _rows_not_a_list(doc):
+    # degree 1 holds no rows, but an empty object is not an empty list
+    doc["stage_relations"][0]["1"] = {}
+
+
+def _row_not_a_list(doc):
+    # a string as long as a row
+    doc["stage_relations"][0]["4"][0] = "0" * 16
+
+
+def _empty_row(doc):
+    doc["stage_relations"][0]["4"][0] = []
+
+
+def _degree_key_missing(doc):
+    del doc["stage_relations"][0]["5"]
+
+
+def _degree_keys_out_of_order(doc):
+    doc["stage_relations"][0] = dict(reversed(doc["stage_relations"][0].items()))
+
+
+def _row_count_off(doc):
+    doc["stage_relations"][0]["3"].pop()
+
+
 def _bad_scalar(doc):
     doc["stage_relations"][-1]["2"][0][0] = "1/x"
 
@@ -398,8 +442,9 @@ def _row_too_long(doc):
 
 
 def _breaks_ideal_closure(doc):
-    # the degree-2 commutator no longer generates anything in degree 3
-    doc["stage_relations"][-1]["3"] = []
+    # as many rows as the report gives, but the degree-2 commutator times V
+    # no longer lies in their span
+    doc["stage_relations"][-1]["3"] = [["1" if c == r else "0" for c in range(8)] for r in range(4)]
 
 
 def _breaks_only_the_coideal(doc):
@@ -428,6 +473,15 @@ def _breaks_only_the_coideal(doc):
         _iso_with_new_relations,
         _iso_before_the_last_stage,
         _deeply_nested,
+        _tampered_earlier_hilbert,
+        _earlier_hilbert_not_1_in_degree_0,
+        _entries_not_strings,
+        _rows_not_a_list,
+        _row_not_a_list,
+        _empty_row,
+        _degree_key_missing,
+        _degree_keys_out_of_order,
+        _row_count_off,
     ],
 )
 def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
@@ -654,18 +708,6 @@ def _cache_document(cache):
     return Path(cache, name).read_text()
 
 
-def test_resumed_cache_document_is_the_cold_one(tmp_path):
-    # the stage loaded on resume is written out again next to the new one
-    cold, resumed = str(tmp_path / "cold"), str(tmp_path / "resumed")
-    invoke(["rank", "--json", "--cache", cold], doc=FLIP2)
-    invoke(["rank", "--json", "--cache", resumed, "--max-iter", "1"], doc=FLIP2)
-    res = invoke(["rank", "--json", "--cache", resumed], doc=FLIP2)
-    assert res.exit_code == 0
-    text = _cache_document(resumed)
-    assert len(json.loads(text)["stage_relations"]) == 2
-    assert text == _cache_document(cold) == json.dumps(json.loads(text), indent=1) + "\n"
-
-
 A2_D4 = {
     "field": {"kind": "rationals"},
     "dimension": 2,
@@ -674,40 +716,42 @@ A2_D4 = {
 }
 
 
-def _entries_not_strings(rels):
-    rels["2"] = [["0", 1, None, ["0"]]]
+def test_resumed_cache_document_is_the_cold_one(tmp_path):
+    # the stages loaded on resume are written out again next to the new
+    # ones: flip n=2 has two stages and A2 three, so A2 also resumes past
+    # a stage it carries without parsing it
+    for job, stages in ((FLIP2, 2), (A2_D4, 3)):
+        cold = str(tmp_path / f"cold{stages}")
+        invoke(["rank", "--json", "--cache", cold], doc=job)
+        text = _cache_document(cold)
+        assert len(json.loads(text)["stage_relations"]) == stages
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        for max_iter in map(str, range(1, stages)):
+            resumed = str(tmp_path / f"resumed{stages}_{max_iter}")
+            invoke(["rank", "--json", "--cache", resumed, "--max-iter", max_iter], doc=job)
+            res = invoke(["rank", "--json", "--cache", resumed], doc=job)
+            assert res.exit_code == 0
+            assert _cache_document(resumed) == text, (stages, max_iter)
 
 
-def _rows_not_a_list(rels):
-    rels["3"] = {"rows": "0"}
-
-
-def _row_not_a_list(rels):
-    rels["4"] = ["0"]
-
-
-def _empty_row(rels):
-    rels["4"] = [[]]
-
-
-@pytest.mark.parametrize("corrupt", [_entries_not_strings, _rows_not_a_list, _row_not_a_list, _empty_row])
-def test_carried_stage_of_any_shape_is_written_back_as_json_dumps(tmp_path, corrupt):
-    # only the last usable stage is re-checked on resume: an earlier one is
-    # carried over as it was read, whatever its shape
+def test_cached_series_must_be_the_rebuilt_quotients(tmp_path):
+    # stage 1 of A2 adds one relation in degree 4 to stage 0's; with stage
+    # 0's degree-4 rows instead (one repeated, to keep the row count), the
+    # stage has its report's shape and rebuilds to a quotient that passes
+    # every invariant re-check, but its series is stage 0's
     cache = str(tmp_path / "cache")
-    invoke(["rank", "--json", "--cache", cache, "--max-iter", "2"], doc=A2_D4)
+    args = ["rank", "--json", "--cache", cache, "--max-iter", "2"]
+    cold = invoke(args, doc=A2_D4)
     (name,) = os.listdir(cache)
-    doc = json.loads(_cache_document(cache))
-    assert len(doc["stage_relations"]) == 2
-    corrupt(doc["stage_relations"][0])
+    written = _cache_document(cache)
+    doc = json.loads(written)
+    stage0, stage1 = doc["stage_relations"]
+    stage1["4"] = stage0["4"] + stage0["4"][:1]
     Path(cache, name).write_text(json.dumps(doc))
-    res = invoke(["rank", "--json", "--cache", cache], doc=A2_D4)
-    assert res.exit_code == 0
-    text = _cache_document(cache)
-    written = json.loads(text)
-    assert len(written["stage_relations"]) == 3
-    assert written["stage_relations"][0] == doc["stage_relations"][0]
-    assert text == json.dumps(written, indent=1) + "\n"
+    again = invoke(args, doc=A2_D4)
+    assert again.exit_code == cold.exit_code == 3
+    assert again.stdout == cold.stdout
+    assert _cache_document(cache) == written
 
 
 def test_cache_save_traces_less_memory_than_it_writes(tmp_path):
