@@ -13,16 +13,21 @@ The optional cache directory stores per-stage relation bases keyed by a
 stable hash of (field, braiding entries, cutoff).  It is a thin layer over
 ``tower.run``: hits are bit-identical to recomputation, partial runs are
 resumed instead of restarted, and a document that fails any check is
-recomputed and overwritten.  Every stage read must fit its report: degree
-d holds n**d - hilbert[d] rows of n**d strings.  Only the stage a run resumes
-from is parsed, re-checked and has its series recomputed; no stage's
-``new_relation_dims`` is recomputed, only checked for length and ``iso``.
+recomputed and overwritten.  A document is read only in the layout its
+writer gives it, ``json.dumps(doc, indent=1) + "\n"`` in ASCII, and it is
+read in blocks, never whole: the head is parsed and must render back to
+its own text, and the relation rows are checked by counting as they pass.
+Every stage must fit its report: degree d holds n**d - hilbert[d] rows of
+n**d strings with no escape.  Only the stage a run resumes from is parsed,
+re-checked and has its series recomputed; no stage's ``new_relation_dims``
+is recomputed, only checked for length and ``iso``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -205,14 +210,27 @@ def _subspace_doc(sub: Subspace, field) -> list:
     return [list(map(texts.__getitem__, row)) for row in sub.basis.num.tolist()]
 
 
-def _rows_from_doc(field, ambient, rows) -> Matrix:
-    """The rows of one degree of a stage :func:`_stage_from_doc` accepted."""
-    if not rows:
+def _rows_from_doc(field, ambient: int, count: int, bodies) -> Matrix:
+    """R_d from the bodies of its ``count`` rows, each checked by :class:`_DocReader`.
+
+    Each distinct entry text is parsed once, in one call over one common
+    denominator; the matrix holds each entry's index among them until every
+    row is read, and then, row by row in place, its numerator.
+    """
+    if not count:
         return Matrix.zeros(field, 0, ambient)
-    # parse each distinct string once, over one common denominator
-    distinct, where = np.unique(np.array([x for row in rows for x in row]), return_inverse=True)
-    values = Matrix.from_scalars(field, [distinct.tolist()])
-    num = values.num[0][where].reshape(len(rows), ambient)
+    # each distinct text's index, in order of first appearance
+    where = _Memo(lambda text: len(where))
+    num = np.empty((count, ambient), dtype=np.int64)
+    for row, body in zip(num, bodies):
+        row[:] = np.fromiter(map(where.__getitem__, body[1:-1].split(_ENTRY_SEP)), np.int64, ambient)
+    values = Matrix.from_scalars(field, [[text.decode("ascii") for text in where]])
+    table = values.num[0]
+    if table.dtype == object:
+        num = table[num]
+    else:
+        for row in num:
+            row[:] = table[row]
     return Matrix.build(field, num, values.den)
 
 
@@ -223,8 +241,11 @@ def _quotient_relations_doc(q: GradedQuotient) -> dict:
     }
 
 
-def _quotient_from_doc(space: BraidedSpace, cutoff: int, doc: dict) -> GradedQuotient:
-    rows = [_rows_from_doc(space.field, space.n**d, doc[str(d)]) for d in range(1, cutoff + 1)]
+def _quotient_from_doc(space: BraidedSpace, cutoff: int, degrees) -> GradedQuotient:
+    """The re-checked quotient of one cached stage; ``degrees[d - 1]`` is
+    the row count of R_d and an iterable of the bodies of its rows."""
+    # the flat rows are dropped once split by class, before the re-check
+    rows = (_rows_from_doc(space.field, space.n**d, *rel) for d, rel in enumerate(degrees, 1))
     q = GradedQuotient.from_rows(space, cutoff, rows, _validated=True)
     bialgebra._validate_quotient(q)
     return q
@@ -284,24 +305,21 @@ def _claim_output(path: str):
         _fail_output(exc)
 
 
-def _stage_from_doc(k, report, rels, n: int, cutoff: int, last: int) -> StageReport:
+def _stage_from_doc(k, report, n: int, cutoff: int, last: int) -> StageReport:
     """Stage ``k`` of a document whose last stage is ``last``: its series (1 in
-    degree 0) and dimensions have the cutoff's lengths, only the last stage is
-    iso, and its relations ``rels`` (not parsed here) hold n**d - hilbert[d]
-    rows of n**d strings under each key "1".."D", in order."""
+    degree 0, at most n**d in degree d) and dimensions have the cutoff's
+    lengths, and only the last stage is iso."""
     hilbert, dims, iso = report["hilbert"], report["new_relation_dims"], report["iso"]
     if not (
         _int_list(hilbert)
         and len(hilbert) == cutoff + 1
         and hilbert[0] == 1
+        and all(h <= n**d for d, h in enumerate(hilbert))
         and _int_list(dims)
         and len(dims) == cutoff - 1
         and isinstance(iso, bool)
         and iso == (not any(dims))
         and (k == last or not iso)
-        and type(rels) is dict
-        and list(rels) == [str(d) for d in range(1, cutoff + 1)]
-        and all(_text_rows(rows, n**d, n**d - hilbert[d]) for d, rows in enumerate(rels.values(), 1))
     ):
         raise ValueError(f"cached stage {k} is malformed")
     return StageReport(
@@ -316,18 +334,12 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(_is_int(v) for v in value)
 
 
-def _text_rows(rows, width: int, count: int) -> bool:
-    """True when ``rows`` is ``count`` lists of ``width`` strings each."""
-    return type(rows) is list and len(rows) == count and all(
-        type(row) is list and len(row) == width and set(map(type, row)) == {str} for row in rows
-    )
-
-
 # The cache document is json.dumps(doc, indent=1) + "\n", written as a stream
 # of chunks instead of one string: the relation rows of every stage are
 # formatted one row at a time, at the depth they take in the document.
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 _ROW_SEP = ",\n     "  # between the entries of a relation row, at depth 5
+_HEAD_END = ',\n "stage_relations": '
 
 
 def _json_chunks(parts, depth: int, brackets: str = "[]"):
@@ -342,18 +354,14 @@ def _json_chunks(parts, depth: int, brackets: str = "[]"):
     yield brackets if empty else "\n" + " " * depth + brackets[1]
 
 
-def _row_text(row, texts) -> str:
-    """One nonempty relation row, at depth 4; ``texts`` maps an entry to its JSON text."""
-    return "[\n     " + _ROW_SEP.join(map(texts.__getitem__, row)) + "\n    ]"
-
-
-def _stage_chunks(rels, texts):
-    """One entry of ``stage_relations``: the rows of R_1..R_D in ``rels``,
-    under the keys "1".."D"."""
+def _stage_chunks(rels):
+    """One entry of ``stage_relations``: under the keys "1".."D", the rows of
+    R_1..R_D in ``rels``, each given by its body (the JSON texts of its
+    entries joined by _ROW_SEP), which is one chunk of its own."""
 
     def degree(d, rows):
         yield f'"{d}": '
-        yield from _json_chunks(([_row_text(row, texts)] for row in rows), 3)
+        yield from _json_chunks((("[\n     ", body, "\n    ]") for body in rows), 3)
 
     return _json_chunks((degree(d, rows) for d, rows in enumerate(rels, 1)), 2, "{}")
 
@@ -361,79 +369,186 @@ def _stage_chunks(rels, texts):
 def _document_chunks(head: dict, stages):
     """``json.dumps({**head, "stage_relations": ...}, indent=1) + "\n"`` in chunks."""
     # reopen the head object before its closing "\n}"
-    yield json.dumps(head, indent=1)[:-2] + ',\n "stage_relations": '
+    yield json.dumps(head, indent=1)[:-2] + _HEAD_END
     yield from _json_chunks(stages, 1)
     yield "\n}\n"
 
 
+# The reader takes a document only as the writer above gives it, read in
+# blocks of _BLOCK bytes.
+_BLOCK = 1 << 16
+_ENTRY_SEP = f'"{_ROW_SEP}"'.encode()  # between the JSON texts of two entries
+# the only bytes the writer writes: a newline and printable ASCII
+_LAYOUT_BYTES = b"\n" + bytes(range(0x20, 0x7F))
+
+
+class _DocReader:
+    """A cache document compared, as it is read, with the text its writer
+    gives it.  It holds one block and the current row."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        # the unread text starts at buf[pos]; buf[0] is at file offset base
+        self.buf, self.pos, self.base = b"", 0, 0
+
+    def _more(self) -> bool:
+        """Drop the text before ``pos`` and read a block; False at the end."""
+        block = self.fh.read(_BLOCK)
+        if block.translate(None, _LAYOUT_BYTES):
+            raise ValueError("cache document holds a byte its writer never writes")
+        self.base += self.pos
+        self.buf, self.pos = self.buf[self.pos :] + block, 0
+        return bool(block)
+
+    def _find(self, text: bytes) -> int:
+        """The index in ``buf`` of the next ``text`` at or after ``pos``."""
+        seen = 0
+        while (at := self.buf.find(text, self.pos + seen)) < 0:
+            seen = max(len(self.buf) - self.pos - len(text) + 1, 0)
+            if not self._more():
+                raise ValueError("cache document ends early")
+        return at
+
+    def _expect(self, text: bytes):
+        while len(self.buf) - self.pos < len(text) and self._more():
+            pass
+        if not self.buf.startswith(text, self.pos):
+            raise ValueError("cache document is not in its writer's layout")
+        self.pos += len(text)
+
+    def head(self) -> dict:
+        """The object before "stage_relations"; :meth:`check` compares its text."""
+        # a document that does not open like the writer's is not searched
+        self._expect(b'{\n "version": ')
+        self.pos = 0
+        end = self._find(_HEAD_END.encode())
+        return json.loads(self.buf[:end] + b"\n}")
+
+    def check(self, head: dict, n: int, hilberts) -> list:
+        """Compare the whole document with the writer's text for ``head`` and
+        n**d - hilbert[d] rows in degree d of each stage, and return the
+        (start, stop) file offsets of each row's body, per stage and degree."""
+        counts = [[n**d - h for d, h in enumerate(hilbert[1:], 1)] for hilbert in hilberts]
+        # the writer's chunks, with each row's body given by its width
+        stages = [[itertools.repeat(n**d, c) for d, c in enumerate(cs, 1)] for cs in counts]
+        spans = []
+        for chunk in _document_chunks(head, map(_stage_chunks, stages)):
+            if type(chunk) is int:
+                spans.append(self._row(chunk))
+            else:
+                self._expect(chunk.encode())
+        if self.pos < len(self.buf) or self._more():
+            raise ValueError("cache document continues after its end")
+        rows = iter(spans)
+        return [[list(itertools.islice(rows, c)) for c in cs] for cs in counts]
+
+    def _row(self, width: int) -> tuple[int, int]:
+        """A row body of ``width`` JSON strings with no escape, up to the next
+        "\n    ]".  Its 2 * width quotes and width - 1 newlines must all lie
+        in its first and last byte (two quotes) and in width - 1 disjoint
+        entry separators, so every entry lies between two quotes and holds
+        neither."""
+        stop = self._find(b"\n    ]")
+        buf, start = self.buf, self.pos
+        if not (
+            buf[start] == buf[stop - 1] == ord('"')
+            and buf.count(b'"', start, stop) == 2 * width
+            and buf.count(_ENTRY_SEP, start + 1, stop - 1) == width - 1
+            and buf.count(b"\n", start, stop) == width - 1
+            and buf.find(b"\\", start, stop) < 0
+        ):
+            raise ValueError("cached relation row out of shape")
+        self.pos = stop
+        return self.base + start, self.base + stop
+
+
 class _StageCache:
-    """One cache document: the resume point it holds, and its rewrite."""
+    """One cache document: the resume point it holds, and its rewrite.
+
+    The document read stays open until :meth:`close`: the rows of the
+    stages read are copied from it to the rewrite.  A document is only ever
+    replaced by a rename, so the open file keeps the text that was checked.
+    """
 
     def __init__(self, path: str):
         self.path = path
-        # the stage count and max_iter of the document read; None on a miss
+        self.fh = None
+        # the stage count of the document read; None on a miss
         self.doc_stages = None
-        self.doc_max_iter = 0
-        # (rows of R_1..R_D, entry -> JSON text) of each stage: those read
+        # each stage's rows of R_1..R_D, given by their bodies: those read
         # from the document, then each new stage's
         self.stages: list = []
+
+    def close(self):
+        if self.fh is not None:
+            self.fh.close()
+            self.fh = None
+
+    def _bodies(self, spans):
+        """The body of each row at the (start, stop) offsets ``spans``."""
+        for start, stop in spans:
+            self.fh.seek(start)
+            yield self.fh.read(stop - start)
 
     def resume_point(self, space: BraidedSpace, cutoff: int, max_iter: int):
         """The cached stages usable under ``max_iter`` and the quotient after them.
 
-        Every usable stage must fit its report (:func:`_stage_from_doc`).
-        Only the last one's relations are parsed, and they go through the
-        full invariant re-check; its Hilbert series must be the rebuilt
+        The document must be in its writer's layout (:class:`_DocReader`),
+        every stage must fit its report (:func:`_stage_from_doc`), and
+        ``max_iter`` must be the one :meth:`save` writes.  Only the last
+        usable stage's relations are parsed, and they go through the full
+        invariant re-check; its Hilbert series must be the rebuilt
         quotient's.  A missing document, or one that fails any check, is a
         miss: the run starts from the free object and the document is
         rewritten.
         """
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            doc_stages = doc["report"]["stages"]
-            doc_rels = doc["stage_relations"]
-            if (
-                doc["version"] != 1
-                or not _is_int(doc["max_iter"])
-                or not isinstance(doc_stages, list)
-                or not isinstance(doc_rels, list)
-                or len(doc_rels) != len(doc_stages)
-            ):
+            self.fh = open(self.path, "rb")
+            reader = _DocReader(self.fh)
+            head = reader.head()
+            doc_stages = head["report"]["stages"]
+            if head["version"] != 1 or not isinstance(doc_stages, list):
                 raise ValueError("cache document out of shape")
-            usable = min(len(doc_stages), max_iter)
             last = len(doc_stages) - 1
-            stages = [_stage_from_doc(k, doc_stages[k], doc_rels[k], space.n, cutoff, last) for k in range(usable)]
-            if usable:
-                q = _quotient_from_doc(space, cutoff, doc_rels[usable - 1])
-                if list(stages[-1].hilbert) != hilbert_series(q):
+            stages = [_stage_from_doc(k, rep, space.n, cutoff, last) for k, rep in enumerate(doc_stages)]
+            written = cutoff if stages and stages[-1].stage_map_iso else len(stages)
+            if not _is_int(head["max_iter"]) or head["max_iter"] != written:
+                raise ValueError("cached max_iter is not the one save writes for its stages")
+            spans = reader.check(head, space.n, [s.hilbert for s in stages])[:max_iter]
+            if spans:
+                q = _quotient_from_doc(space, cutoff, [(len(rows), self._bodies(rows)) for rows in spans[-1]])
+                if list(stages[len(spans) - 1].hilbert) != hilbert_series(q):
                     raise ValueError("cached Hilbert series disagrees with the cached relations")
             else:
                 q = free_truncated(space, cutoff)
         # a file on disk can hold anything: each of these is a malformed
         # document, and a failed re-check raises a BraidrankError
         except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError, BraidrankError):
+            self.close()
             return [], free_truncated(space, cutoff)
-        self.doc_stages, self.doc_max_iter = len(doc_stages), doc["max_iter"]
-        self.stages = [(rels.values(), _Memo(_json_str)) for rels in doc_rels[:usable]]
-        return stages, q
+        self.doc_stages = len(stages)
+        self.stages = [[map(bytes.decode, self._bodies(rows)) for rows in stage] for stage in spans]
+        return stages[: len(spans)], q
 
     def record(self, q: GradedQuotient, rep: StageReport):
         field = q.space.field
         texts = _Memo(lambda v: _json_str(format_scalar(v, field)))
-        self.stages.append(([rel.rows() for rel in q._rels], texts))
+        self.stages.append([(_ROW_SEP.join(map(texts.__getitem__, row)) for row in rel.rows()) for rel in q._rels])
 
-    def save(self, report: RankReport, max_iter: int):
-        # rewrite only when new stages were computed, so a shorter request
-        # never truncates a longer cached run
+    def save(self, report: RankReport):
+        """Rewrite the document when new stages were computed, so a shorter
+        request never truncates a longer cached run.  Its "max_iter" is the
+        cutoff once the tower stabilized, for any longer request reads the
+        same stages, and the stage count otherwise: the document does not
+        depend on the order of the requests that built it."""
         if self.doc_stages is not None and len(self.stages) <= self.doc_stages:
             return
         head = {
             "version": 1,
-            "max_iter": max(max_iter, self.doc_max_iter),
+            "max_iter": report.final.cutoff if report.stabilized else len(self.stages),
             "report": rank_report_doc(report),
         }
-        _atomic_write(self.path, _document_chunks(head, (_stage_chunks(*stage) for stage in self.stages)))
+        _atomic_write(self.path, _document_chunks(head, map(_stage_chunks, self.stages)))
 
 
 def _run_tower_cached(
@@ -446,18 +561,18 @@ def _run_tower_cached(
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         _fail_output(exc)
-    cache = _StageCache(os.path.join(cache_dir, _cache_key(spec, space) + ".json"))
-    report = tower.run(
-        space,
-        spec.cutoff,
-        max_iter,
-        resume=cache.resume_point(space, spec.cutoff, max_iter),
-        on_stage=cache.record,
-    )
-    try:
-        cache.save(report, max_iter)
-    except OSError as exc:
-        _fail_output(exc)
+    with contextlib.closing(_StageCache(os.path.join(cache_dir, _cache_key(spec, space) + ".json"))) as cache:
+        report = tower.run(
+            space,
+            spec.cutoff,
+            max_iter,
+            resume=cache.resume_point(space, spec.cutoff, max_iter),
+            on_stage=cache.record,
+        )
+        try:
+            cache.save(report)
+        except OSError as exc:
+            _fail_output(exc)
     return report
 
 

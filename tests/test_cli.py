@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import hashlib
@@ -355,7 +356,7 @@ def _drop_hilbert(doc):
 
 
 def _tampered_hilbert(doc):
-    # well-formed, but not the series of the cached relations
+    # more than n**d in degree d: no row count fits it
     doc["report"]["stages"][-1]["hilbert"] = [1, 9, 9, 9, 9, 9]
 
 
@@ -374,6 +375,11 @@ def _iso_with_new_relations(doc):
 def _iso_before_the_last_stage(doc):
     stage = doc["report"]["stages"][0]
     stage["iso"], stage["new_relation_dims"] = True, [0, 0, 0, 0]
+
+
+def _max_iter_of_a_shorter_request(doc):
+    # a stabilized document holds the cutoff, whatever request wrote it
+    doc["max_iter"] = 2
 
 
 def _deeply_nested(doc):
@@ -441,6 +447,56 @@ def _row_too_long(doc):
     doc["stage_relations"][-1]["2"][0].append("0")
 
 
+def _nul_suffixed_entry(doc):
+    # "1\u0000" is no scalar, though a NumPy string array drops the NUL
+    row = doc["stage_relations"][-1]["2"][0]
+    row[row.index("1")] = "1\u0000"
+
+
+def _compact_layout(doc):
+    # the same document in another layout
+    return json.dumps(doc)
+
+
+def _stage_0_text(doc, *edits):
+    # the writer's text, each (old, new) of ``edits`` made once in the
+    # relations of stage 0, which no run parses: only their layout is read
+    head, rels = (json.dumps(doc, indent=1) + "\n").split('\n "stage_relations"')
+    for old, new in edits:
+        rels = rels.replace(old, new, 1)
+    return head + '\n "stage_relations"' + rels
+
+
+def _escaped_entry(doc):
+    # "0" to json.loads, but the writer escapes no entry
+    return _stage_0_text(doc, ('"0"', '"\\u0030"'))
+
+
+def _tab_in_entry(doc):
+    return _stage_0_text(doc, ('"0"', '"0\t"'))
+
+
+def _newline_in_entry(doc):
+    return _stage_0_text(doc, ('"0"', '"0\n"'))
+
+
+def _quote_in_entry(doc):
+    return _stage_0_text(doc, ('"0"', '"0"0"'))
+
+
+def _entry_separator_respaced(doc):
+    return _stage_0_text(doc, ('",\n     "', '", \n    "'))
+
+
+def _opening_quote_moved_to_the_end(doc):
+    # degree 2 of stage 0 is one row, [0, 1, -1, 0]
+    return _stage_0_text(doc, ('[\n     "0",', '[\n     0",'), ('"0"\n    ]', '"0""\n    ]'))
+
+
+def _text_after_the_end(doc):
+    return json.dumps(doc, indent=1) + "\n\n"
+
+
 def _breaks_ideal_closure(doc):
     # as many rows as the report gives, but the degree-2 commutator times V
     # no longer lies in their span
@@ -465,6 +521,15 @@ def _breaks_only_the_coideal(doc):
         _exponent_scalar,
         _relations_not_a_dict,
         _row_too_long,
+        _nul_suffixed_entry,
+        _compact_layout,
+        _escaped_entry,
+        _tab_in_entry,
+        _newline_in_entry,
+        _quote_in_entry,
+        _entry_separator_respaced,
+        _opening_quote_moved_to_the_end,
+        _text_after_the_end,
         _breaks_ideal_closure,
         _breaks_only_the_coideal,
         _tampered_hilbert,
@@ -472,6 +537,7 @@ def _breaks_only_the_coideal(doc):
         _long_new_relation_dims,
         _iso_with_new_relations,
         _iso_before_the_last_stage,
+        _max_iter_of_a_shorter_request,
         _deeply_nested,
         _tampered_earlier_hilbert,
         _earlier_hilbert_not_1_in_degree_0,
@@ -494,7 +560,8 @@ def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     doc = json.loads(written)
     text = corrupt(doc)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) if text is None else text)
+        # in the writer's layout, unless the corruption is the layout
+        fh.write(json.dumps(doc, indent=1) + "\n" if text is None else text)
     again = invoke(["rank", "--json", "--cache", cache], doc=FLIP2)
     nocache = invoke(["rank", "--json"], doc=FLIP2)
     assert again.exit_code == nocache.exit_code == cold.exit_code == 0
@@ -669,7 +736,7 @@ def _saved_document(path, report, quotients, max_iter):
     cache = cli._StageCache(str(path))
     for q in quotients:
         cache.record(q, None)
-    cache.save(report, max_iter)
+    cache.save(report)
     return path.read_text()
 
 
@@ -719,14 +786,15 @@ A2_D4 = {
 def test_resumed_cache_document_is_the_cold_one(tmp_path):
     # the stages loaded on resume are written out again next to the new
     # ones: flip n=2 has two stages and A2 three, so A2 also resumes past
-    # a stage it carries without parsing it
+    # a stage it carries without parsing it; a first run that stabilizes
+    # below the default max_iter writes the cold document itself
     for job, stages in ((FLIP2, 2), (A2_D4, 3)):
         cold = str(tmp_path / f"cold{stages}")
         invoke(["rank", "--json", "--cache", cold], doc=job)
         text = _cache_document(cold)
         assert len(json.loads(text)["stage_relations"]) == stages
         assert text == json.dumps(json.loads(text), indent=1) + "\n"
-        for max_iter in map(str, range(1, stages)):
+        for max_iter in map(str, range(1, stages + 1)):
             resumed = str(tmp_path / f"resumed{stages}_{max_iter}")
             invoke(["rank", "--json", "--cache", resumed, "--max-iter", max_iter], doc=job)
             res = invoke(["rank", "--json", "--cache", resumed], doc=job)
@@ -747,11 +815,58 @@ def test_cached_series_must_be_the_rebuilt_quotients(tmp_path):
     doc = json.loads(written)
     stage0, stage1 = doc["stage_relations"]
     stage1["4"] = stage0["4"] + stage0["4"][:1]
-    Path(cache, name).write_text(json.dumps(doc))
+    Path(cache, name).write_text(json.dumps(doc, indent=1) + "\n")
     again = invoke(args, doc=A2_D4)
     assert again.exit_code == cold.exit_code == 3
     assert again.stdout == cold.stdout
     assert _cache_document(cache) == written
+
+
+def test_cache_document_replaced_before_save(tmp_path):
+    # the rows of the stages read are copied from the document that was
+    # read, whatever has replaced it by the time the resumed run writes
+    cold, resumed = tmp_path / "cold", tmp_path / "resumed"
+    invoke(["rank", "--json", "--cache", str(cold)], doc=A2_D4)
+    invoke(["rank", "--json", "--cache", str(resumed), "--max-iter", "2"], doc=A2_D4)
+    (path,) = resumed.iterdir()
+    space = cli.JobSpec(A2_D4).build_space()
+    with contextlib.closing(cli._StageCache(str(path))) as cache:
+        resume = cache.resume_point(space, 4, 4)
+        assert len(resume[0]) == 2
+        (tmp_path / "other.json").write_text("{}")
+        os.replace(tmp_path / "other.json", path)
+        cache.save(tower.run(space, 4, 4, resume=resume, on_stage=cache.record))
+    assert path.read_text() == _cache_document(cold)
+
+
+def test_cache_read_in_blocks_shorter_than_a_row(tmp_path, monkeypatch):
+    # the head, each literal and each row straddle blocks: the resume is
+    # still a hit, and the rows read are copied back from their offsets
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    cold, resumed = str(tmp_path / "cold"), str(tmp_path / "resumed")
+    invoke(["rank", "--json", "--cache", cold], doc=A2_D4)
+    invoke(["rank", "--json", "--cache", resumed, "--max-iter", "2"], doc=A2_D4)
+    steps = _count_calls(monkeypatch, tower, "step")
+    res = invoke(["rank", "--json", "--cache", resumed], doc=A2_D4)
+    assert res.exit_code == 0 and len(steps) == 1
+    assert _cache_document(resumed) == _cache_document(cold)
+
+
+def test_cache_read_traces_less_memory_than_twice_the_document(tmp_path):
+    # an exact hit holds a block and a row of the text, not the document
+    job = {**FLIP2, "degree_cutoff": 8}
+    invoke(["rank", "--json", "--cache", str(tmp_path)], doc=job)
+    (path,) = tmp_path.iterdir()
+    space = cli.JobSpec(job).build_space()
+    with contextlib.closing(cli._StageCache(str(path))) as cache:
+        tracemalloc.start()
+        try:
+            stages, _ = cache.resume_point(space, 8, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(stages) == 2
+    assert peak < 2 * path.stat().st_size
 
 
 def test_cache_save_traces_less_memory_than_it_writes(tmp_path):
@@ -760,7 +875,7 @@ def test_cache_save_traces_less_memory_than_it_writes(tmp_path):
     report = tower.run(make_flip(2, RATIONALS), 8, on_stage=cache.record)
     tracemalloc.start()
     try:
-        cache.save(report, 8)
+        cache.save(report)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
