@@ -6,10 +6,10 @@ a :class:`GradedSubspace`: one :class:`Subspace` per weight class
 are one as well.  Braid lifts and coproduct components of a braiding that
 preserves multidegree map each class to itself, so saturation, the
 primitive kernels, Delta application and both re-checks run class by
-class.  An ungraded braiding, or a quotient whose flat input has a row
-across two classes, has one class: the same code path.  Only
+class.  An ungraded braiding, or a quotient saturated from a generator
+with a row across two classes, has one class: the same code path.  Only
 :class:`GradedSubspace` knows the class layout and its flat n^d-wide form;
-flat input is split in :func:`_class_rows`.
+flat generators are split in :func:`_class_rows`.
 
 Two invariants are re-verified (exactly) every time a quotient is built:
 
@@ -108,7 +108,7 @@ def _class_rows(classes: WeightClasses, gen) -> list[Matrix] | None:
     """The rows of ``gen``, a flat matrix or a :class:`GradedSubspace`, split
     by class onto each class's columns; None when a row meets two classes.
 
-    This is the one place where a partition is read off the data.
+    This is the one place where a partition is read off a flat matrix.
     """
     if isinstance(gen, GradedSubspace):
         if gen.classes is classes:
@@ -173,13 +173,6 @@ class GradedQuotient:
         self._rels: tuple[GradedSubspace, ...] = tuple(rels)
         self._proj: dict[tuple[int, int], Matrix] = {}
         self._prim_cache: dict[int, GradedSubspace] = {}
-
-    @classmethod
-    def from_rows(cls, space: BraidedSpace, cutoff: int, mats, _validated=False) -> "GradedQuotient":
-        """The quotient whose R_d is spanned by the rows of the flat ``mats[d - 1]``."""
-        graded, rows = _split(space, True, list(enumerate(mats, 1)))
-        rels = [GradedSubspace(space.classes(d, graded), tuple(map(Subspace.from_rows, r))) for d, r in rows]
-        return cls(space, cutoff, rels, _validated=_validated)
 
     # -- structure ----------------------------------------------------------
 

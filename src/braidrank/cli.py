@@ -1,9 +1,9 @@
 """Command-line front end: validate braidings, run rank / Nichols / primitives.
 
-Input is a single JSON document (file or stdin) with exact scalars encoded
-as strings ("3/7", "-1", residues as decimals); floating point field entries
-are rejected by construction.  Reports go to stdout (human table by default,
-the machine-readable document with --json); diagnostics go to stderr.
+Input is a single UTF-8 JSON document (file or stdin) with exact scalars
+as strings ("3/7", "-1", residues as decimals); float and boolean entries
+are rejected.  Reports go to stdout (human table by default, the
+machine-readable document with --json); diagnostics go to stderr.
 
 Exit codes: 0 ok, 1 braiding validation failure, 2 parse error or an
 unusable --cache / --report path, 3 tower not stabilized within max_iter
@@ -20,7 +20,9 @@ its own text, and the relation rows are checked by counting as they pass.
 Every stage must fit its report: degree d holds n**d - hilbert[d] rows of
 n**d strings with no escape.  Only the stage a run resumes from is parsed,
 re-checked and has its series recomputed; no stage's ``new_relation_dims``
-is recomputed, only checked for length and ``iso``.
+is recomputed, only checked for length and ``iso``.  A row is parsed onto
+its weight class's words, and must lie in one class; an entry must be the
+text the writer gives its value ("-2/2" and "-0" are misses).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import click
 import numpy as np
 
 from . import bialgebra, tower
-from .bialgebra import GradedQuotient, free_truncated, hilbert_series, primitives
+from .bialgebra import GradedQuotient, GradedSubspace, free_truncated, hilbert_series, primitives
 from .braiding import DEGREE_CAP, DIMENSION_CAP, BraidedSpace, make_diagonal, make_flip, make_from_matrix
 from .errors import BraidrankError, InvalidField
 from .exactlin import FieldSpec, GF, Matrix, RATIONALS, Subspace, format_scalar
@@ -56,17 +58,18 @@ class ParseError(Exception):
 
 def _read_document(input_path: str) -> dict:
     try:
+        # bytes, decoded below as strict UTF-8 whatever the locale's encoding
         if input_path == "-":
-            text = sys.stdin.read()
+            data = click.get_binary_stream("stdin").read()
         else:
-            with open(input_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(input_path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read input: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
     # nesting deeper than the interpreter's recursion limit raises RecursionError
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("job document must be a JSON object")
@@ -210,28 +213,29 @@ def _subspace_doc(sub: Subspace, field) -> list:
     return [list(map(texts.__getitem__, row)) for row in sub.basis.num.tolist()]
 
 
-def _rows_from_doc(field, ambient: int, count: int, bodies) -> Matrix:
-    """R_d from the bodies of its ``count`` rows, each checked by :class:`_DocReader`.
-
-    Each distinct entry text is parsed once, in one call over one common
-    denominator; the matrix holds each entry's index among them until every
-    row is read, and then, row by row in place, its numerator.
+def _rows_from_doc(field, classes, bodies) -> GradedSubspace:
+    """R_d on the weight ``classes`` from the bodies of its rows, each checked
+    by :class:`_DocReader`.  Each distinct entry text is parsed once, in one
+    call over one common denominator, and must be the text the writer gives
+    its value, so "0", index 0, is the only zero.  Each row is kept on its
+    class's words as the indices of its texts until every row is read.
     """
-    if not count:
-        return Matrix.zeros(field, 0, ambient)
     # each distinct text's index, in order of first appearance
     where = _Memo(lambda text: len(where))
-    num = np.empty((count, ambient), dtype=np.int64)
-    for row, body in zip(num, bodies):
-        row[:] = np.fromiter(map(where.__getitem__, body[1:-1].split(_ENTRY_SEP)), np.int64, ambient)
-    values = Matrix.from_scalars(field, [[text.decode("ascii") for text in where]])
+    where[b"0"] = 0
+    blocks = [[] for _ in classes.cols]
+    for body in bodies:
+        row = np.fromiter(map(where.__getitem__, body[1:-1].split(_ENTRY_SEP)), np.int64, classes.label.size)
+        # a ValueError unless exactly one class holds the nonzeros
+        (k,) = set(classes.label[row.nonzero()[0]].tolist())
+        blocks[k].append(row[classes.cols[k]])
+    texts = [text.decode("ascii") for text in where]
+    values = Matrix.from_scalars(field, [texts])
     table = values.num[0]
-    if table.dtype == object:
-        num = table[num]
-    else:
-        for row in num:
-            row[:] = table[row]
-    return Matrix.build(field, num, values.den)
+    if list(map(_scalar_text(field, values.den), table.tolist())) != texts:
+        raise ValueError("cached entry not in the writer's form")
+    parts = (table[np.array(rows, np.int64).reshape(len(rows), cols.size)] for rows, cols in zip(blocks, classes.cols))
+    return GradedSubspace(classes, tuple(Subspace.from_rows(Matrix.build(field, num, values.den)) for num in parts))
 
 
 def _quotient_relations_doc(q: GradedQuotient) -> dict:
@@ -242,11 +246,10 @@ def _quotient_relations_doc(q: GradedQuotient) -> dict:
 
 
 def _quotient_from_doc(space: BraidedSpace, cutoff: int, degrees) -> GradedQuotient:
-    """The re-checked quotient of one cached stage; ``degrees[d - 1]`` is
-    the row count of R_d and an iterable of the bodies of its rows."""
-    # the flat rows are dropped once split by class, before the re-check
-    rows = (_rows_from_doc(space.field, space.n**d, *rel) for d, rel in enumerate(degrees, 1))
-    q = GradedQuotient.from_rows(space, cutoff, rows, _validated=True)
+    """The re-checked quotient of one cached stage; ``degrees[d - 1]`` gives
+    the bodies of the rows of R_d."""
+    rels = [_rows_from_doc(space.field, space.classes(d), bodies) for d, bodies in enumerate(degrees, 1)]
+    q = GradedQuotient(space, cutoff, rels, _validated=True)
     bialgebra._validate_quotient(q)
     return q
 
@@ -516,7 +519,7 @@ class _StageCache:
                 raise ValueError("cached max_iter is not the one save writes for its stages")
             spans = reader.check(head, space.n, [s.hilbert for s in stages])[:max_iter]
             if spans:
-                q = _quotient_from_doc(space, cutoff, [(len(rows), self._bodies(rows)) for rows in spans[-1]])
+                q = _quotient_from_doc(space, cutoff, map(self._bodies, spans[-1]))
                 if list(stages[len(spans) - 1].hilbert) != hilbert_series(q):
                     raise ValueError("cached Hilbert series disagrees with the cached relations")
             else:

@@ -114,7 +114,9 @@ def GF(p: int) -> FieldSpec:
 
 
 def coerce_scalar(value, field: FieldSpec) -> Scalar:
-    """Canonicalise ``value`` (int, Fraction, or digit string) into ``field``."""
+    """Canonicalise ``value`` (int, Fraction, or digit string; no bool) into ``field``."""
+    if isinstance(value, bool):
+        raise TypeError(f"cannot coerce the boolean {value!r} into {field}")
     if isinstance(value, str):
         return parse_scalar(value, field)
     if field.is_rationals:

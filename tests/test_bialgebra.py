@@ -24,7 +24,7 @@ from braidrank import (
     omega_projection,
     primitives,
 )
-from braidrank.bialgebra import GradedQuotient, _validate_quotient
+from braidrank.bialgebra import GradedQuotient, GradedSubspace, _validate_quotient
 from braidrank.braiding import BraidedSpace
 from braidrank.exactlin import hstack, kernel_basis, vstack
 from braidrank.tower import run
@@ -273,7 +273,9 @@ def test_validate_quotient_catches_broken_closure():
         span(RATIONALS, 4, [[0, 1, -1, 0]]),
         Subspace.zero(RATIONALS, 8),  # missing the pushed-up relations
     ]
-    broken = GradedQuotient.from_rows(space, 3, [r.basis for r in rels], _validated=True)
+    broken = GradedQuotient(
+        space, 3, [GradedSubspace(space.classes(d, False), (r,)) for d, r in enumerate(rels, 1)], _validated=True
+    )
     with pytest.raises(BialgebraInvariantError):
         _validate_quotient(broken)
 

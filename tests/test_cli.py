@@ -324,6 +324,40 @@ def test_bad_integer_fields_exit_2(field, value):
     assert len(lines) == 1 and lines[0].startswith("parse error:")
 
 
+# FLIP2 with a note whose one byte, 0xff, is no UTF-8
+NOT_UTF8 = json.dumps(FLIP2)[:-1].encode() + b', "note": "\xff"}'
+
+
+def test_input_file_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_bytes(NOT_UTF8)
+    res = invoke(["rank", "--json", "--input", str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error:")
+
+
+# stdin is decoded strictly under PYTHONIOENCODING=utf-8, and with
+# surrogateescape under the POSIX locale: the job is UTF-8 either way
+@pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8"}, {"LC_ALL": "C"}], ids=["strict", "posix_locale"])
+def test_stdin_not_utf8_exits_2(env):
+    unset = ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")
+    base = {k: v for k, v in os.environ.items() if k not in unset}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidrank", "rank", "--json"],
+        input=NOT_UTF8,
+        capture_output=True,
+        env={**base, **env},
+        cwd=ROOT,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(b"parse error:")
+
+
 DIAG2 = {
     "field": {"kind": "rationals"},
     "dimension": 2,
@@ -340,8 +374,15 @@ DIAG2 = {
         {"kind": "matrix", "entries": [["1", "0", "0", "0"]] * 3 + [["1", "0", "0"]]},
         # Fraction would expand 10**100000 before any size check
         {"kind": "diagonal", "q": [["1e100000", "1"], ["1", "1"]]},
+        # JSON true is no scalar, though Python's True is the int 1: these
+        # would be DIAG2 and the flip
+        {"kind": "diagonal", "q": [[True, "1"], ["1", "1"]]},
+        {
+            "kind": "matrix",
+            "entries": [[True, "0", "0", "0"], ["0", "0", True, "0"], ["0", True, "0", "0"], ["0", "0", "0", True]],
+        },
     ],
-    ids=["ragged_q", "ragged_entries", "exponent_scalar"],
+    ids=["ragged_q", "ragged_entries", "exponent_scalar", "bool_scalar_q", "bool_scalar_entries"],
 )
 def test_malformed_scalar_grids_exit_2(command, braiding):
     res = invoke([command, "--json"], doc={**DIAG2, "braiding": braiding})
@@ -453,6 +494,24 @@ def _nul_suffixed_entry(doc):
     row[row.index("1")] = "1\u0000"
 
 
+def _non_canonical_entry(doc):
+    # -1 to Fraction, but the writer writes "-1"
+    row = doc["stage_relations"][-1]["2"][0]
+    row[row.index("-1")] = "-2/2"
+
+
+def _negative_zero_entry(doc):
+    # at e010, in the weight class of the row e001 - e100
+    doc["stage_relations"][-1]["3"][0][2] = "-0"
+
+
+def _row_across_two_classes(doc):
+    # e001 - e100 plus e011 - e110: R_3 keeps its span, but the writer
+    # writes no row with nonzeros in two weight classes
+    rows = doc["stage_relations"][-1]["3"]
+    rows[0] = [str(Fraction(a) + Fraction(b)) for a, b in zip(rows[0], rows[2])]
+
+
 def _compact_layout(doc):
     # the same document in another layout
     return json.dumps(doc)
@@ -522,6 +581,9 @@ def _breaks_only_the_coideal(doc):
         _relations_not_a_dict,
         _row_too_long,
         _nul_suffixed_entry,
+        _non_canonical_entry,
+        _negative_zero_entry,
+        _row_across_two_classes,
         _compact_layout,
         _escaped_entry,
         _tab_in_entry,
@@ -867,6 +929,25 @@ def test_cache_read_traces_less_memory_than_twice_the_document(tmp_path):
             tracemalloc.stop()
     assert len(stages) == 2
     assert peak < 2 * path.stat().st_size
+
+
+def test_exact_hit_traces_less_memory_than_a_flat_relation_space(tmp_path):
+    # the resumed stage is kept one weight class at a time; no array of it
+    # is n**d wide but the row being read, so the trace stays below R_6 of
+    # flip n=3 as one flat int64 matrix
+    job = {**FLIP2, "dimension": 3, "degree_cutoff": 6}
+    invoke(["rank", "--json", "--cache", str(tmp_path)], doc=job)
+    (path,) = tmp_path.iterdir()
+    space = cli.JobSpec(job).build_space()
+    with contextlib.closing(cli._StageCache(str(path))) as cache:
+        tracemalloc.start()
+        try:
+            stages, _ = cache.resume_point(space, 6, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert stages and stages[-1].stage_map_iso
+    assert peak < (3**6 - stages[-1].hilbert[6]) * 3**6 * 8
 
 
 def test_cache_save_traces_less_memory_than_it_writes(tmp_path):
