@@ -92,6 +92,13 @@ class GradedSubspace:
                     row[c] = Fraction(v, basis.den) if basis.field.is_rationals else v
             yield row
 
+    def __eq__(self, other):
+        if not isinstance(other, GradedSubspace):
+            return NotImplemented
+        if np.array_equal(self.classes.label, other.classes.label):
+            return self.parts == other.parts
+        return self.subspace == other.subspace
+
 
 def _non_pivots(sub: Subspace) -> np.ndarray:
     return np.delete(np.arange(sub.ambient_dim), sub.pivots)
@@ -245,11 +252,7 @@ class GradedQuotient:
     def __eq__(self, other):
         if not isinstance(other, GradedQuotient):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.cutoff == other.cutoff
-            and all(self.relation(d) == other.relation(d) for d in range(1, self.cutoff + 1))
-        )
+        return self.space == other.space and self.cutoff == other.cutoff and self._rels == other._rels
 
     __hash__ = None
 

@@ -14,7 +14,8 @@ as an exact matrix identity.  Validation also decides whether c preserves
 the Z^n multidegree of a tensor (flip and diagonal braidings do); then
 every braid lift and coproduct component maps each weight class of words
 to itself.  :meth:`BraidedSpace.classes` gives that partition of each
-V^(x)d as a :class:`WeightClasses`; when c mixes weights it is one class.
+V^(x)d as a :class:`WeightClasses`, from :func:`_multidegree`; when c
+mixes weights it is one class, and the only partition cached per degree.
 :meth:`WeightClasses.grids` lays a class of V^(x)(i+j) out as the tensor
 products of classes of V^(x)i and V^(x)j.
 """
@@ -111,7 +112,7 @@ def permutation_tensor_matrix(field: FieldSpec, n: int, perm: Sequence[int]) -> 
 class BraidedSpace:
     """A validated braided vector space: dimension n plus a braiding matrix."""
 
-    __slots__ = ("field", "n", "c", "_monomial", "_graded", "_weights", "_classes", "_delta_cache")
+    __slots__ = ("field", "n", "c", "_monomial", "_graded", "_classes", "_delta_cache")
 
     def __init__(self, field: FieldSpec, n: int, c: Matrix, _validated: bool = False):
         if not _validated:
@@ -121,7 +122,6 @@ class BraidedSpace:
         self.c = c
         self._monomial = _detect_monomial(c)
         self._graded = _preserves_multidegree(n, c)
-        self._weights: dict[int, np.ndarray] = {}
         self._classes: dict[tuple[int, bool], WeightClasses] = {}
         self._delta_cache: dict = {}
 
@@ -129,26 +129,12 @@ class BraidedSpace:
     def is_monomial(self) -> bool:
         return self._monomial is not None
 
-    def weights(self, d: int) -> np.ndarray:
-        """The multidegree code of each basis word of V^(x)d (read-only).
-
-        Words with the same letters, counted with multiplicity, share a
-        code.  When c does not preserve multidegree every code is 0: the
-        whole space is one weight class.
-        """
-        w = self._weights.get(d)
-        if w is None:
-            w = _multidegree(self.n, d) if self._graded else np.zeros(self.n**d, dtype=np.int64)
-            w.setflags(write=False)
-            self._weights[d] = w
-        return w
-
     def classes(self, d: int, graded: bool = True) -> "WeightClasses":
-        """The weight classes of V^(x)d; one class when ``graded`` is False."""
-        if (d, graded) not in self._classes:
-            codes = self.weights(d) if graded else np.zeros(self.n**d, dtype=np.int64)
-            self._classes[(d, graded)] = WeightClasses(codes)
-        return self._classes[(d, graded)]
+        """The weight classes of V^(x)d, cached; one class when ``graded`` is False or c mixes weights."""
+        key = (d, graded and self._graded)
+        if key not in self._classes:
+            self._classes[key] = WeightClasses(_multidegree(self.n, d) if key[1] else np.zeros(self.n**d, np.int64))
+        return self._classes[key]
 
     def __eq__(self, other):
         if not isinstance(other, BraidedSpace):

@@ -21,8 +21,9 @@ Every stage must fit its report: degree d holds n**d - hilbert[d] rows of
 n**d strings with no escape.  Only the stage a run resumes from is parsed,
 re-checked and has its series recomputed; no stage's ``new_relation_dims``
 is recomputed, only checked for length and ``iso``.  A row is parsed onto
-its weight class's words, and must lie in one class; an entry must be the
-text the writer gives its value ("-2/2" and "-0" are misses).
+its weight class's words, and must lie in one class; the rows must be the
+canonical basis in the writer's order, and an entry must be the text the
+writer gives its value ("-2/2" and "-0" are misses).
 """
 
 from __future__ import annotations
@@ -223,19 +224,27 @@ def _rows_from_doc(field, classes, bodies) -> GradedSubspace:
     # each distinct text's index, in order of first appearance
     where = _Memo(lambda text: len(where))
     where[b"0"] = 0
-    blocks = [[] for _ in classes.cols]
+    blocks, lead = [[] for _ in classes.cols], -1
     for body in bodies:
         row = np.fromiter(map(where.__getitem__, body[1:-1].split(_ENTRY_SEP)), np.int64, classes.label.size)
-        # a ValueError unless exactly one class holds the nonzeros
-        (k,) = set(classes.label[row.nonzero()[0]].tolist())
+        # a ValueError unless one class holds the nonzeros, after the last row's
+        nz = row.nonzero()[0]
+        (k,) = set(classes.label[nz].tolist())
+        if nz[0] <= lead:
+            raise ValueError("cached rows not in pivot order")
+        lead = nz[0]
         blocks[k].append(row[classes.cols[k]])
     texts = [text.decode("ascii") for text in where]
     values = Matrix.from_scalars(field, [texts])
     table = values.num[0]
     if list(map(_scalar_text(field, values.den), table.tolist())) != texts:
         raise ValueError("cached entry not in the writer's form")
-    parts = (table[np.array(rows, np.int64).reshape(len(rows), cols.size)] for rows, cols in zip(blocks, classes.cols))
-    return GradedSubspace(classes, tuple(Subspace.from_rows(Matrix.build(field, num, values.den)) for num in parts))
+    nums = (table[np.array(rows, np.int64).reshape(len(rows), cols.size)] for rows, cols in zip(blocks, classes.cols))
+    mats = [Matrix.build(field, num, values.den) for num in nums]
+    parts = tuple(map(Subspace.from_rows, mats))
+    if any(part.basis != mat for part, mat in zip(parts, mats)):
+        raise ValueError("cached rows not the canonical basis of their span")
+    return GradedSubspace(classes, parts)
 
 
 def _quotient_relations_doc(q: GradedQuotient) -> dict:

@@ -16,6 +16,7 @@ The quantum symmetrizer S_d, the sum of the positive lifts of all of S_d,
 is the independent oracle for the tower.  It unrolls the factorization
 S_d = (S_{d-1} (x) Id) T_d, T_d = Id + c_{d-1}(Id + c_{d-2}(... (Id + c_1)))
 (Flores de Chela-Green 2001) into slot products: no recursion is shared.
+From the unit columns of a weight class, it gives that class's columns.
 """
 
 from __future__ import annotations
@@ -146,10 +147,11 @@ def delta_component(space: BraidedSpace, i: int, j: int) -> Matrix:
     return out
 
 
-def symmetrizer(space: BraidedSpace, d: int) -> Matrix:
-    """Quantum symmetrizer: sum of positive braid lifts of all of S_d."""
+def symmetrizer(space: BraidedSpace, d: int, cols: np.ndarray | None = None) -> Matrix:
+    """Quantum symmetrizer, the sum of positive braid lifts of all of S_d: its columns ``cols`` (default all)."""
     check_degree(d)
-    out = Matrix.identity(space.field, space.n**d)
+    words = np.arange(space.n**d)
+    out = Matrix.build(space.field, (words[:, None] == (words if cols is None else cols)).astype(np.int64))
     for k in range(d, 1, -1):
         # out <- (T_k (x) Id) out, with T_k x = x + c_{k-1}(x + ... (x + c_1 x))
         x = out

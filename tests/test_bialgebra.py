@@ -362,6 +362,26 @@ def test_saturate_inhomogeneous_generator_matches_flat(field, monkeypatch):
             _identical(x, y)
 
 
+def test_graded_subspace_equality_across_partitions():
+    # a graded relation space equals itself in the one-class partition, by
+    # its flat basis, and a change in one class's part tells them apart
+    space = make_flip(2, RATIONALS)
+    q = ideal_saturate(free_truncated(space, 4), [(2, span(RATIONALS, 4, [[0, 1, -1, 0]]))])
+    for d in range(1, 5):
+        rel = q._rels[d - 1]
+        flat = GradedSubspace(space.classes(d, False), (rel.subspace,))
+        assert len(rel.classes.cols) == d + 1 and len(flat.classes.cols) == 1
+        assert rel == flat and flat == rel and rel == GradedSubspace(rel.classes, rel.parts)
+        assert rel.__eq__(rel.subspace) is NotImplemented
+        # the last class holds one word, on which R_d is 0: make it all of it
+        parts = rel.parts[:-1] + (Subspace.full(RATIONALS, 1),)
+        other = GradedSubspace(rel.classes, parts)
+        assert rel != other and flat != other and other != flat
+    rels = [GradedSubspace(space.classes(d, False), (q.relation(d),)) for d in range(1, 5)]
+    one_class = GradedQuotient(space, 4, rels, _validated=True)
+    assert q == one_class and one_class == q
+
+
 def test_graded_tower_matches_flat(monkeypatch):
     # every stage's relations and primitives, class by class and as one class
     cases = [

@@ -27,6 +27,7 @@ from braidrank import (
 )
 from braidrank._accel import LIMIT
 from braidrank.braiding import (
+    _multidegree,
     inversions,
     invert_perm,
     lexmin_reduced_word,
@@ -274,19 +275,22 @@ def test_multidegree_grading_is_decided_at_validation():
     for space in (jordan_space(), conjugated_space()):
         assert not space.is_monomial and not space._graded
         for d in (0, 1, 3):
-            w = space.weights(d)
-            assert w.shape == (2**d,) and not w.any()
+            label = space.classes(d).label
+            assert label.shape == (2**d,) and not label.any()
+            # one partition per degree: graded or not, the same object
+            assert space.classes(d, graded=False) is space.classes(d)
 
 
 def test_weights_code_letter_counts():
     space = make_flip(2, RATIONALS)
     # code of a word: sum over its letters of (d+1)**letter
-    assert space.weights(2).tolist() == [2, 4, 4, 6]
-    assert space.weights(0).tolist() == [0]
-    assert space.weights(3) is space.weights(3) and not space.weights(3).flags.writeable
+    assert _multidegree(2, 2).tolist() == [2, 4, 4, 6]
+    assert _multidegree(2, 0).tolist() == [0]
+    assert space.classes(3) is space.classes(3) and space.classes(3, graded=False) is not space.classes(3)
+    assert space.classes(2).label.tolist() == [0, 1, 1, 2]
     # equal codes exactly for equal letter counts
     for n, d in ((2, 5), (3, 4)):
-        w = make_flip(n, RATIONALS).weights(d)
+        w = _multidegree(n, d)
         counts = [
             tuple([(idx // n ** (d - 1 - k)) % n for k in range(d)].count(a) for a in range(n))
             for idx in range(n**d)
@@ -297,7 +301,7 @@ def test_weights_code_letter_counts():
 
 def test_braid_lifts_preserve_weights():
     for space in (make_flip(2, RATIONALS), diagonal_space(RATIONALS, [[2, 3], [5, 7]])):
-        w = space.weights(4)
+        w = space.classes(4).label
         mat = braid_word(space, 4, [1, 2, 3, 1])
         rows, cols = (mat.num != 0).nonzero()
         assert (w[rows] == w[cols]).all()

@@ -512,6 +512,27 @@ def _row_across_two_classes(doc):
     rows[0] = [str(Fraction(a) + Fraction(b)) for a, b in zip(rows[0], rows[2])]
 
 
+def _two_rows_of_one_class_added(doc):
+    # e001 - e100 plus e010 - e100: the span and the class are kept, but
+    # the rows are no longer the class's rref basis
+    rows = doc["stage_relations"][-1]["3"]
+    rows[0] = [str(Fraction(a) + Fraction(b)) for a, b in zip(rows[0], rows[1])]
+
+
+def _rows_of_two_classes_swapped(doc):
+    # rows 0 and 2, each the other class's: out of pivot order, and the
+    # first class's rows out of rref order
+    rows = doc["stage_relations"][-1]["3"]
+    rows[0], rows[2] = rows[2], rows[0]
+
+
+def _rows_out_of_pivot_order(doc):
+    # rows 1 and 2: each class's rows stay its rref basis, but the rows
+    # are not in pivot order
+    rows = doc["stage_relations"][-1]["3"]
+    rows[1], rows[2] = rows[2], rows[1]
+
+
 def _compact_layout(doc):
     # the same document in another layout
     return json.dumps(doc)
@@ -584,6 +605,9 @@ def _breaks_only_the_coideal(doc):
         _non_canonical_entry,
         _negative_zero_entry,
         _row_across_two_classes,
+        _two_rows_of_one_class_added,
+        _rows_of_two_classes_swapped,
+        _rows_out_of_pivot_order,
         _compact_layout,
         _escaped_entry,
         _tab_in_entry,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from braidrank import (
@@ -154,3 +156,30 @@ def test_order3_and_order4_roots_give_truncated_lines():
     assert hilbert_series(nichols_truncation(space3, 5)) == [1, 1, 1, 0, 0, 0]
     space4 = diagonal_space(GF(13), [[5]])
     assert hilbert_series(nichols_truncation(space4, 5)) == [1, 1, 1, 1, 0, 0]
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_oracle_traces_less_memory_than_a_flat_symmetrizer():
+    # S_6 of flip n=3 is computed one weight class of columns at a time, so
+    # the trace stays below one flat int64 S_6
+    q, peak = _traced_peak(nichols_truncation, make_flip(3, RATIONALS), 6)
+    assert hilbert_series(q) == [sym_dim(3, d) for d in range(7)]
+    assert peak < 3**12 * 8
+
+
+def test_compare_traces_no_flat_relation_space():
+    # both quotients are in the graded partition, so they are compared class
+    # by class and no flat basis is built
+    space = make_flip(3, RATIONALS)
+    final, oracle = run(space, 6).final, nichols_truncation(space, 6)
+    match, peak = _traced_peak(compare, final, oracle)
+    assert match and peak < 1 << 20

@@ -6,6 +6,7 @@ import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from braidrank import (
@@ -23,7 +24,7 @@ from braidrank import (
 from braidrank.braiding import braid_word, inversions, invert_perm, lexmin_reduced_word
 from braidrank.shuffle import block_transposition
 
-from conftest import diagonal_space
+from conftest import conjugated_space, diagonal_space
 
 F7 = GF(7)
 
@@ -166,6 +167,26 @@ def test_symmetrizers_and_coproducts_are_golden():
                 digest.update(f"{name} {d} {m.den}:".encode())
                 digest.update(",".join(map(str, m.num.ravel().tolist())).encode())
     assert digest.hexdigest() == GOLDEN_OPERATORS
+
+
+def test_symmetrizer_class_columns_are_the_flat_columns():
+    # the columns of one weight class, computed from its unit columns alone,
+    # are those of the flat S_d, and S_d keeps the class: zero off its rows
+    spaces = [
+        make_flip(3, RATIONALS),
+        diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
+        diagonal_space(F7, [[2, 3], [4, 5]]),
+        JORDAN,
+        conjugated_space(),
+    ]
+    for space in spaces:
+        for d in range(1, 5):
+            flat, classes = symmetrizer(space, d), space.classes(d)
+            assert (len(classes.cols) > 1) == space._graded, (space, d)
+            for cols in classes.cols:
+                block = symmetrizer(space, d, cols)
+                assert block == flat.take_columns(cols), (space, d, cols)
+                assert not np.delete(block.num, cols, axis=0).any(), (space, d, cols)
 
 
 def coassoc_holds(space, i, j, k):
