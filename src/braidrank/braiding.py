@@ -5,8 +5,10 @@ e_{i1} (x) ... (x) e_{id} of V^(x)d has index sum(i_k * n^(d-k)), i.e.
 big-endian lexicographic, and the braiding matrix is column-convention:
 c[(k,l),(i,j)] is the coefficient of e_k (x) e_l in c(e_i (x) e_j).
 
-Braid lifts to tensor powers apply c to two slots at a time through
-:func:`on_slots`; no Kronecker product with an identity is formed.
+A braid generator c_k acts on all words of V^(x)d, or on one weight class,
+through :func:`apply_generator`: each word gathers one term per nonzero in
+its letter pair's row of c (one for a monomial braiding, at most two for a
+graded one); no Kronecker product with an identity is formed.
 
 Every constructed space is validated: c must be invertible and satisfy the
 braid equation (c(x)I)(I(x)c)(c(x)I) = (I(x)c)(c(x)I)(I(x)c) on V^(x)3,
@@ -34,6 +36,7 @@ from .errors import (
     YangBaxterViolation,
     ZeroParameter,
 )
+from ._accel import exact, maxabs
 from .exactlin import FieldSpec, Matrix, coerce_scalar
 
 DIMENSION_CAP = 8
@@ -112,7 +115,7 @@ def permutation_tensor_matrix(field: FieldSpec, n: int, perm: Sequence[int]) -> 
 class BraidedSpace:
     """A validated braided vector space: dimension n plus a braiding matrix."""
 
-    __slots__ = ("field", "n", "c", "_monomial", "_graded", "_classes", "_delta_cache")
+    __slots__ = ("field", "n", "c", "_row_terms", "_graded", "_classes", "_delta_cache")
 
     def __init__(self, field: FieldSpec, n: int, c: Matrix, _validated: bool = False):
         if not _validated:
@@ -120,14 +123,20 @@ class BraidedSpace:
         self.field = field
         self.n = n
         self.c = c
-        self._monomial = _detect_monomial(c)
+        # each row's nonzero columns of c and their numerators, n^2 x m with m
+        # the most in a row; a shorter row is padded with its own index and 0
+        nz = c.num != 0
+        cols = np.argsort(~nz, axis=1, kind="stable")[:, : max(1, int(nz.sum(axis=1).max()))]
+        num = np.take_along_axis(c.num, cols, axis=1)
+        self._row_terms = np.where(num != 0, cols, np.arange(c.rows)[:, None]), num
         self._graded = _preserves_multidegree(n, c)
         self._classes: dict[tuple[int, bool], WeightClasses] = {}
         self._delta_cache: dict = {}
 
     @property
     def is_monomial(self) -> bool:
-        return self._monomial is not None
+        """One nonzero per row of c: c is invertible, so also one per column."""
+        return self._row_terms[0].shape[1] == 1
 
     def classes(self, d: int, graded: bool = True) -> "WeightClasses":
         """The weight classes of V^(x)d, cached; one class when ``graded`` is False or c mixes weights."""
@@ -184,20 +193,6 @@ def group_by(codes: np.ndarray) -> list[np.ndarray]:
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _detect_monomial(c: Matrix):
-    """Row of each column's single nonzero; None unless every column has exactly one."""
-    m = c.rows
-    perm = np.zeros(m, dtype=np.int64)
-    num = c.num
-    for j in range(m):
-        col = num[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size != 1:
-            return None
-        perm[j] = int(nz[0])
-    return perm
-
-
 def _multidegree(n: int, d: int) -> np.ndarray:
     """Sum over the letters of each word of V^(x)d of (d+1)**letter.
 
@@ -226,16 +221,14 @@ def _validate(field: FieldSpec, n: int, c: Matrix) -> BraidedSpace:
         raise NotInvertible(f"braiding must be {n * n}x{n * n}, got {c.shape}")
     if c.rank() != n * n:
         raise NotInvertible("braiding matrix is singular")
-    # c_1 c_2 c_1 and c_2 c_1 c_2 on V^(x)3; c_1 has lead 1, c_2 lead n
-    lhs = rhs = Matrix.identity(field, n**3)
-    for a, b in ((1, n), (n, 1), (1, n)):
-        lhs, rhs = on_slots(c, a, lhs), on_slots(c, b, rhs)
+    space = BraidedSpace(field, n, c, _validated=True)
+    lhs, rhs = braid_word(space, 3, (1, 2, 1)), braid_word(space, 3, (2, 1, 2))
     if lhs != rhs:
         diff = lhs - rhs
         col = int(np.flatnonzero((diff.num != 0).any(axis=0))[0])
         witness = ((col // (n * n)) % n, (col // n) % n, col % n)
         raise YangBaxterViolation(witness)
-    return BraidedSpace(field, n, c, _validated=True)
+    return space
 
 
 def make_flip(n: int, field: FieldSpec) -> BraidedSpace:
@@ -291,23 +284,32 @@ def braid_word(space: BraidedSpace, d: int, word: Sequence[int], mat: Matrix | N
     """Ordered product of braid generators times ``mat`` (default Id), leftmost letter applied last."""
     check_degree(d)
     out = Matrix.identity(space.field, space.n**d) if mat is None else mat
-    for i in reversed(list(word)):
-        if not 1 <= i <= d - 1:
-            raise IndexOutOfRange(f"generator index {i} outside 1..{d - 1}")
-        out = on_slots(space.c, space.n ** (i - 1), out)
+    words = np.arange(space.n**d)
+    for k in reversed(list(word)):
+        out = apply_generator(space, d, k, words, out)
     return out
 
 
-def on_slots(op: Matrix, lead: int, mat: Matrix) -> Matrix:
-    """(I_lead (x) op (x) I) @ mat: the rows of ``mat`` split as (lead, op.cols, trail).
+def generator_terms(space: BraidedSpace, d: int, k: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_k on V^(x)d over ``words``, ascending words that c_k maps to itself, in gather form.
 
-    The op.cols axis moves to the front for one ``Matrix @`` and back, so
-    the product's dtype follows the same rule as every other.
+    Two m x |words| arrays ``(src, num)``: c_k x at ``words[u]`` is the sum
+    over t of num[t, u] / c.den times x at ``words[src[t, u]]``.
     """
-    (rows, cols), k, r = mat.shape, op.cols, op.rows
-    trail = rows // (lead * k)
-    # explicit sizes: any of them may be 0
-    front = mat.num.reshape(lead, k, trail * cols).transpose(1, 0, 2).reshape(k, lead * trail * cols)
-    prod = op @ Matrix.build(mat.field, front, mat.den)
-    back = prod.num.reshape(r, lead, trail * cols).transpose(1, 0, 2).reshape(lead * r * trail, cols)
-    return Matrix.build(mat.field, back, prod.den)
+    if not 1 <= k <= d - 1:
+        raise IndexOutOfRange(f"generator index {k} outside 1..{d - 1}")
+    base = space.n ** (d - k - 1)
+    pairs = words // base % space.n**2
+    cols, num = space._row_terms
+    src = words[:, None] + (cols[pairs] - pairs[:, None]) * base
+    return np.searchsorted(words, src.T), num[pairs].T
+
+
+def apply_generator(space: BraidedSpace, d: int, k: int, words: np.ndarray, mat: Matrix) -> Matrix:
+    """c_k @ mat on V^(x)d, the rows of ``mat`` being the words ``words`` (see :func:`generator_terms`)."""
+    src, num = generator_terms(space, d, k, words)
+    a, num = exact(maxabs(mat.num) * maxabs(num) * len(num), mat.num, num)
+    out = a[src[0]] * num[0][:, None]
+    for s, c in zip(src[1:], num[1:]):
+        out += a[s] * c[:, None]
+    return Matrix.build(mat.field, out, mat.den * space.c.den)

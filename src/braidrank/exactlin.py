@@ -26,6 +26,7 @@ modular reconstruction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -135,18 +136,17 @@ def coerce_scalar(value, field: FieldSpec) -> Scalar:
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
-    """Parse the canonical text form: "a/b" or "a" over Q, decimal over F_p.
+    """Parse the canonical text form: "a/b" or "a" over Q, "a" over F_p.
 
-    An exponent ("1e5") is refused: Fraction would expand 10**exponent
-    before any size check, so a short text could take unbounded time.
+    a and b are ASCII digits, a with an optional "-", around any whitespace.
+    Python's own parsers also take "1_0", "+3", "1.5", "1e5" (which Fraction
+    would expand to 10**5 first) and non-ASCII digits; none is accepted.
     """
     text = text.strip()
+    if not re.fullmatch("-?[0-9]+(/[0-9]+)?" if field.is_rationals else "-?[0-9]+", text):
+        raise ValueError(f"bad scalar {text!r} for {field}")
     try:
-        if field.is_rationals:
-            if "e" in text.lower():
-                raise ValueError("exponent form not accepted")
-            return Fraction(text)
-        return int(text) % field.p
+        return Fraction(text) if field.is_rationals else int(text) % field.p
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar {text!r} for {field}: {exc}") from None
 

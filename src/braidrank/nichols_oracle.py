@@ -28,15 +28,14 @@ def nichols_truncation(space: BraidedSpace, cutoff: int) -> GradedQuotient:
     and then passed through the full ideal-closure and coideal re-checks,
     which double as a deep cross-check of the coproduct convention.  S_d
     maps each weight class of c to itself, so its kernel is found class by
-    class: only the class's columns of S_d are computed, and their rows
-    off the class are zero.
+    class, from the class's block of S_d alone.
     """
     if cutoff < 1:
         raise DegreeCap("cutoff must be at least 1")
     check_degree(cutoff)
     rels = []
     for d in range(1, cutoff + 1):
-        kernels = (kernel_basis(symmetrizer(space, d, c).take_rows(c)) for c in space.classes(d).cols)
+        kernels = (kernel_basis(symmetrizer(space, d, c)) for c in space.classes(d).cols)
         rels.append(GradedSubspace(space.classes(d), tuple(kernels)))
     q = GradedQuotient(space, cutoff, rels, _validated=True)
     _validate_quotient(q)

@@ -15,8 +15,8 @@ denominator; any other braiding keeps a dense matrix.
 The quantum symmetrizer S_d, the sum of the positive lifts of all of S_d,
 is the independent oracle for the tower.  It unrolls the factorization
 S_d = (S_{d-1} (x) Id) T_d, T_d = Id + c_{d-1}(Id + c_{d-2}(... (Id + c_1)))
-(Flores de Chela-Green 2001) into slot products: no recursion is shared.
-From the unit columns of a weight class, it gives that class's columns.
+(Flores de Chela-Green 2001) into generator actions: no recursion is shared.
+From the identity on a weight class's words, it gives that class's block.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from ._accel import exact, maxabs
-from .braiding import BraidedSpace, braid_word, check_degree, lexmin_reduced_word, on_slots
+from .braiding import BraidedSpace, apply_generator, braid_word, check_degree, generator_terms, lexmin_reduced_word
 from .errors import DegreeCap
 from .exactlin import FieldSpec, Matrix, Scalar, coerce_scalar
 
@@ -64,20 +64,17 @@ def _times(a: np.ndarray, b, field: FieldSpec) -> np.ndarray:
 
 
 def _monomial_lift(space: BraidedSpace, d: int, word):
-    """Lift of a braid word on V^(x)d: index t goes to num[t] / c.den**len(word) at tgt[t]."""
-    n = space.n
-    size = n**d
-    nsq = n * n
-    perm = space._monomial
-    cnum = space.c.num[perm, np.arange(nsq)]
-    tgt = np.arange(size, dtype=np.int64)
-    num = np.ones(size, dtype=np.int64)
-    for k in reversed(list(word)):
-        base = n ** (d - k - 1)
-        pairs = (tgt // base) % nsq
-        tgt = tgt + (perm[pairs] - pairs) * base
-        num = _times(num, cnum[pairs], space.field)
-    return tgt, num
+    """Lift of a braid word on V^(x)d: index t goes to num[t] / c.den**len(word) at tgt[t].
+
+    The one-term generator actions compose from the leftmost letter, then invert."""
+    words = np.arange(space.n**d)
+    src, num = words, np.ones(words.size, dtype=np.int64)
+    for k in word:
+        (s,), (c,) = generator_terms(space, d, k, words)
+        src, num = s[src], _times(num, c[src], space.field)
+    tgt = np.empty_like(src)
+    tgt[src] = words
+    return tgt, num[tgt]
 
 
 def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix) -> Matrix:
@@ -148,15 +145,15 @@ def delta_component(space: BraidedSpace, i: int, j: int) -> Matrix:
 
 
 def symmetrizer(space: BraidedSpace, d: int, cols: np.ndarray | None = None) -> Matrix:
-    """Quantum symmetrizer, the sum of positive braid lifts of all of S_d: its columns ``cols`` (default all)."""
+    """Quantum symmetrizer, the sum of positive braid lifts of all of S_d: its block on ``cols`` (default all words)."""
     check_degree(d)
-    words = np.arange(space.n**d)
-    out = Matrix.build(space.field, (words[:, None] == (words if cols is None else cols)).astype(np.int64))
+    words = np.arange(space.n**d) if cols is None else cols
+    out = Matrix.identity(space.field, len(words))
     for k in range(d, 1, -1):
         # out <- (T_k (x) Id) out, with T_k x = x + c_{k-1}(x + ... (x + c_1 x))
         x = out
         for i in range(1, k):
-            out = x + on_slots(space.c, space.n ** (i - 1), out)
+            out = x + apply_generator(space, d, i, words, out)
     return out
 
 

@@ -40,6 +40,16 @@ def conjugated_space():
     return make_from_matrix(2, RATIONALS, t.kron(t) @ base.c @ t_inv.kron(t_inv))
 
 
+def hecke_space(field):
+    """The Hecke braiding of U_q(gl_2) at q = 2 (n=2): graded, not monomial.
+
+    c(e0e0) = q e0e0, c(e0e1) = e1e0, c(e1e0) = e0e1 + (q - 1/q) e1e0 and
+    c(e1e1) = q e1e1, so c has two terms on e1e0, inside its weight class."""
+    h = Fraction(3, 2) if field.is_rationals else 3 * pow(2, -1, field.p) % field.p
+    entries = [[2, 0, 0, 0], [0, 0, 1, 0], [0, 1, h, 0], [0, 0, 0, 2]]
+    return make_from_matrix(2, field, Matrix.from_scalars(field, entries))
+
+
 def witt(n: int, d: int) -> int:
     """Free Lie algebra dimension via the Witt formula (necklace count)."""
     total = 0

@@ -28,14 +28,14 @@ from braidrank import (
 from braidrank._accel import LIMIT
 from braidrank.braiding import (
     _multidegree,
+    apply_generator,
     inversions,
     invert_perm,
     lexmin_reduced_word,
-    on_slots,
     permutation_tensor_matrix,
 )
 
-from conftest import acceptance_braidings, conjugated_space, diagonal_space, jordan_space
+from conftest import acceptance_braidings, conjugated_space, diagonal_space, hecke_space, jordan_space
 
 
 def test_flip_n1_is_identity():
@@ -164,36 +164,46 @@ def test_single_letter_words_are_the_generators():
         braid_word(spaces[0], 3, (1, 3))
 
 
-@st.composite
-def slot_case(draw):
-    """op (r x k), lead, and mat with lead * k * trail rows; any of r, trail, m may be 0.
+ACTION_SPACES = [
+    make_flip(3, RATIONALS),
+    diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
+    diagonal_space(GF(7), [[2, 3], [4, 5]]),
+    jordan_space(),
+    conjugated_space(),
+    hecke_space(RATIONALS),
+    # residues near 2**61 square past 2**63: the object-dtype action
+    diagonal_space(GF(2**61 - 1), [[2**60, 3], [5, 2**61 - 2]]),
+]
 
-    Rational entries reach 3 * LIMIT, past the int64 elimination bound, and
-    GF(2^61 - 1) residues square past 2**63: both products run in object dtype.
+
+@st.composite
+def action_case(draw):
+    """A space, degree d, generator k, a word set (all words or one class) and a matrix on those rows.
+
+    Rational entries reach 3 * LIMIT, or 2**62 where the products need object dtype.
     """
-    field = draw(st.sampled_from([RATIONALS, GF(7), GF(2147483659), GF(2**61 - 1)]))
-    if field.is_rationals:
-        bound = draw(st.sampled_from([3, 3 * LIMIT]))
+    space = draw(st.sampled_from(ACTION_SPACES))
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, d - 1))
+    words = draw(st.sampled_from([np.arange(space.n**d), *space.classes(d).cols]))
+    if space.field.is_rationals:
+        bound = draw(st.sampled_from([3, 3 * LIMIT, 2**62]))
         entries = st.integers(-bound, bound)
     else:
-        entries = st.integers(0, field.p - 1)
-    r, k, lead, trail, m = (draw(st.integers(lo, 3)) for lo in (0, 1, 1, 0, 0))
-
-    def matrix(rows, cols):
-        num = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=object)
-        den = draw(st.sampled_from([1, 2, 6])) if field.is_rationals else 1
-        return Matrix.build(field, num.reshape(rows, cols), den)
-
-    return matrix(r, k), lead, trail, matrix(lead * k * trail, m)
+        entries = st.integers(0, space.field.p - 1)
+    rows, cols = len(words), draw(st.integers(0, 3))
+    num = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=object)
+    den = draw(st.sampled_from([1, 2, 6])) if space.field.is_rationals else 1
+    return space, d, k, words, Matrix.build(space.field, num.reshape(rows, cols), den)
 
 
 @settings(max_examples=200, deadline=None)
-@given(slot_case())
-def test_on_slots_is_the_kronecker_product(case):
-    op, lead, trail, mat = case
-    field = op.field
-    dense = Matrix.identity(field, lead).kron(op).kron(Matrix.identity(field, trail))
-    assert on_slots(op, lead, mat) == dense @ mat
+@given(action_case())
+def test_generator_action_is_the_kronecker_product(case):
+    # on all words, or on a class's rows with the class's block of c_k
+    space, d, k, words, mat = case
+    block = braid_generator(space, d, k).take_rows(words).take_columns(words)
+    assert apply_generator(space, d, k, words, mat) == block @ mat
 
 
 def test_braid_word_matsumoto():
@@ -269,9 +279,13 @@ def test_multidegree_grading_is_decided_at_validation():
         diagonal_space(RATIONALS, [[-1, 1], [-1, -1]]),
         diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
         diagonal_space(GF(7), [[2, 3], [4, 5]]),
+        hecke_space(RATIONALS),
+        hecke_space(GF(5)),
     ]
     for space in graded:
         assert space._graded, space
+    for space in graded[-2:]:
+        assert not space.is_monomial and len(space.classes(3).cols) == 4
     for space in (jordan_space(), conjugated_space()):
         assert not space.is_monomial and not space._graded
         for d in (0, 1, 3):

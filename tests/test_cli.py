@@ -374,6 +374,11 @@ DIAG2 = {
         {"kind": "matrix", "entries": [["1", "0", "0", "0"]] * 3 + [["1", "0", "0"]]},
         # Fraction would expand 10**100000 before any size check
         {"kind": "diagonal", "q": [["1e100000", "1"], ["1", "1"]]},
+        # Python's int and Fraction read these as 10, 1, 3 and 3/2
+        {"kind": "diagonal", "q": [["1_0", "1"], ["1", "1"]]},
+        {"kind": "diagonal", "q": [["\u0661", "1"], ["1", "1"]]},
+        {"kind": "diagonal", "q": [["+3", "1"], ["1", "1"]]},
+        {"kind": "diagonal", "q": [["1.5", "1"], ["1", "1"]]},
         # JSON true is no scalar, though Python's True is the int 1: these
         # would be DIAG2 and the flip
         {"kind": "diagonal", "q": [[True, "1"], ["1", "1"]]},
@@ -382,7 +387,17 @@ DIAG2 = {
             "entries": [[True, "0", "0", "0"], ["0", "0", True, "0"], ["0", True, "0", "0"], ["0", "0", "0", True]],
         },
     ],
-    ids=["ragged_q", "ragged_entries", "exponent_scalar", "bool_scalar_q", "bool_scalar_entries"],
+    ids=[
+        "ragged_q",
+        "ragged_entries",
+        "exponent_scalar",
+        "underscore_digits",
+        "non_ascii_digit",
+        "plus_sign",
+        "decimal_point",
+        "bool_scalar_q",
+        "bool_scalar_entries",
+    ],
 )
 def test_malformed_scalar_grids_exit_2(command, braiding):
     res = invoke([command, "--json"], doc={**DIAG2, "braiding": braiding})

@@ -335,8 +335,14 @@ def test_scalar_text_forms():
     assert format_scalar(Fraction(6, 4), RATIONALS) == "3/2"
     assert parse_scalar("-1", F7) == 6
     assert format_scalar(12, F7) == "5"
+    assert parse_scalar(" -6/4\n", RATIONALS) == Fraction(-3, 2)
+    # Python's int and Fraction take these; the documented forms do not
+    for text in ("1_0", "\u0661", "+3", "1.5", "1e5", "3/0", "1/-2", ""):
+        for field in (RATIONALS, F7):
+            with pytest.raises(ValueError):
+                parse_scalar(text, field)
     with pytest.raises(ValueError):
-        parse_scalar("1.5", F7)
+        parse_scalar("1/2", F7)
 
 
 def test_big_prime_object_lane():

@@ -19,6 +19,11 @@ truncated at the cutoff, and never taken from a run.  Sources:
   combinatorial rank of a graded braided bialgebra*, J. Pure Appl. Algebra
   215 (2011).
 
+Two more jobs are recorded answers, not closed forms: the Hecke braiding of
+U_q(gl_2) at q = 2 over Q and over GF(5), graded but not monomial, whose
+series were printed by the program before braid generators acted on one
+weight class's words.  Every job also runs the oracle.
+
 The rank-2 jobs also resume from a stage cache written by `--max-iter 1`
 and by `--max-iter 2`, and must print the same report bytes as a cold run.
 """
@@ -94,14 +99,34 @@ GALLERY = {
 }
 
 
+def _hecke(field, h):
+    entries = [["2", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", h, "0"], ["0", "0", "0", "2"]]
+    return _job(field, 2, {"kind": "matrix", "entries": entries}, 7)
+
+
+# (job, final Hilbert series, rank at the cutoff); q - 1/q is 3/2, or 4 in GF(5)
+RECORDED = {
+    "Hecke q=2 QQ": (_hecke(QQ, "3/2"), [1, 2, 4, 6, 9, 12, 16, 20], 1),
+    "Hecke q=2 GF(5)": (_hecke({"kind": "prime", "p": 5}, "4"), [1, 2, 4, 6, 6, 6, 4, 2], 1),
+}
+
+
 @pytest.mark.parametrize("name", list(GALLERY))
 def test_known_answer(tmp_path, name):
     job, factors, rank = GALLERY[name]
-    cutoff = job["degree_cutoff"]
+    _check_answer(tmp_path, job, _series(factors, job["degree_cutoff"]), rank)
+
+
+@pytest.mark.parametrize("name", list(RECORDED))
+def test_recorded_answer(tmp_path, name):
+    _check_answer(tmp_path, *RECORDED[name])
+
+
+def _check_answer(tmp_path, job, hilbert, rank):
     cold = invoke(["rank", "--json", "--oracle"], doc=job)
     assert cold.exit_code == 0, cold.output
     report = json.loads(cold.stdout)
-    assert report["final_hilbert"] == _series(factors, cutoff)
+    assert report["final_hilbert"] == hilbert
     assert report["rank_le_cutoff"] == rank
     assert report["stabilized"] is True
     assert report["oracle_match"] is True

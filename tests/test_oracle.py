@@ -16,6 +16,7 @@ from braidrank import (
     hilbert_series,
     make_flip,
     nichols_truncation,
+    symmetrizer,
     primitives,
     run,
 )
@@ -174,6 +175,17 @@ def test_oracle_traces_less_memory_than_a_flat_symmetrizer():
     q, peak = _traced_peak(nichols_truncation, make_flip(3, RATIONALS), 6)
     assert hilbert_series(q) == [sym_dim(3, d) for d in range(7)]
     assert peak < 3**12 * 8
+
+
+def test_class_symmetrizer_traces_less_than_its_unit_columns():
+    # the largest class of flip n=3 in degree 7 has 210 words; its block of
+    # S_7 never meets the other words, so the trace stays below its
+    # 2187 x 210 int64 unit columns
+    space = make_flip(3, RATIONALS)
+    cols = max(space.classes(7).cols, key=len)
+    block, peak = _traced_peak(symmetrizer, space, 7, cols)
+    assert block.shape == (210, 210) and not block.is_zero()
+    assert peak < 3**7 * 210 * 8
 
 
 def test_compare_traces_no_flat_relation_space():

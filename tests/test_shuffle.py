@@ -6,7 +6,6 @@ import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 
-import numpy as np
 import pytest
 
 from braidrank import (
@@ -24,7 +23,7 @@ from braidrank import (
 from braidrank.braiding import braid_word, inversions, invert_perm, lexmin_reduced_word
 from braidrank.shuffle import block_transposition
 
-from conftest import conjugated_space, diagonal_space
+from conftest import conjugated_space, diagonal_space, hecke_space
 
 F7 = GF(7)
 
@@ -170,14 +169,15 @@ def test_symmetrizers_and_coproducts_are_golden():
 
 
 def test_symmetrizer_class_columns_are_the_flat_columns():
-    # the columns of one weight class, computed from its unit columns alone,
-    # are those of the flat S_d, and S_d keeps the class: zero off its rows
+    # the block of one weight class, computed from its identity alone, is
+    # the flat S_d's block on the class, and S_d is zero off the class blocks
     spaces = [
         make_flip(3, RATIONALS),
         diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
         diagonal_space(F7, [[2, 3], [4, 5]]),
         JORDAN,
         conjugated_space(),
+        hecke_space(RATIONALS),
     ]
     for space in spaces:
         for d in range(1, 5):
@@ -185,8 +185,8 @@ def test_symmetrizer_class_columns_are_the_flat_columns():
             assert (len(classes.cols) > 1) == space._graded, (space, d)
             for cols in classes.cols:
                 block = symmetrizer(space, d, cols)
-                assert block == flat.take_columns(cols), (space, d, cols)
-                assert not np.delete(block.num, cols, axis=0).any(), (space, d, cols)
+                assert block == flat.take_rows(cols).take_columns(cols), (space, d, cols)
+            assert not flat.num[classes.label[:, None] != classes.label].any(), (space, d)
 
 
 def coassoc_holds(space, i, j, k):
