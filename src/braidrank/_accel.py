@@ -7,9 +7,9 @@ package: :func:`exact` keeps int64 operands when the caller's bound on
 every intermediate value is below 2**63, and promotes them all to object
 dtype when it is not, or when any operand already is object dtype.  The
 kernels modulo a prime p ask it with the bound p**2.  Gauss-Jordan
-elimination over Q checks the rows each pivot step wrote; once one exceeds
-:data:`LIMIT`, the work arrays turn into object dtype and the elimination
-continues from that pivot.  The int64 and object paths give the same values.
+elimination over Q asks it once per pivot step, with the exact bound of
+that step's update; from the first step whose bound fails the work is
+object dtype.  The int64 and object paths give the same values.
 
 All kernels are sequential; repeated runs produce identical bytes.
 """
@@ -19,10 +19,6 @@ from __future__ import annotations
 from math import gcd
 
 import numpy as np
-
-# Largest |numerator| or denominator for which one elimination update (two
-# products plus a subtraction) provably fits in int64: 2 * LIMIT**2 < 2**63.
-LIMIT = 2_000_000_000
 
 # int64 holds every integer of absolute value below this.
 _INT64_BOUND = 1 << 63
@@ -71,17 +67,13 @@ def rref_frac(num: np.ndarray):
 
     Returns ``(numerators, row_dens, pivots)`` describing the unique rref:
     row i of the result is ``numerators[i] / row_dens[i]``.  The input is
-    not modified.  Before a pivot step on int64 work whose entries or row
-    denominators exceed LIMIT, the work turns into object dtype and the
-    elimination continues from that pivot; the same lines run on both.
+    not modified.  Each pivot step passes :func:`exact` the bound of its
+    update: int64 work turns into object dtype at the first step that could
+    leave int64 and continues from there; the same lines run on both.
     """
     rows, cols = num.shape
     work = num.astype(object) if num.dtype == object else np.array(num, dtype=np.int64, order="C")
     dens = np.ones(rows, dtype=work.dtype)
-    # bound of the rows the last pivot step eliminated; every other row only
-    # moved or shrank since it was last bounded, so testing these rows makes
-    # the same decision as a scan of the whole matrix
-    grown = maxabs(work)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -90,8 +82,6 @@ def rref_frac(num: np.ndarray):
         nz = np.flatnonzero(work[r:, c])
         if nz.size == 0:
             continue
-        if grown > LIMIT and work.dtype != object:
-            work, dens = work.astype(object), dens.astype(object)
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
@@ -106,18 +96,20 @@ def rref_frac(num: np.ndarray):
         if g > 1:
             work[r] = work[r] // g
             dens[r] = dens[r] // g
-        dr = dens[r]
+        dr = int(dens[r])  # a Python int: the bound below must not wrap in int64
         f = work[:, c].copy()
         rest = np.flatnonzero(f)
         rest = rest[rest != r]
-        grown = 0
         if rest.size:
-            upd = work[rest] * dr - np.outer(f[rest], work[r])
+            upd = work[rest]
+            # |work * dr - f * pivot row| and |dens * dr| over the rows updated
+            bound = max(maxabs(upd), maxabs(dens[rest])) * dr + maxabs(f[rest]) * maxabs(work[r])
+            work, dens, upd = exact(bound, work, dens, upd)
+            upd = upd * dr - np.outer(f[rest], work[r])
             upd_dens = dens[rest] * dr
             gs = np.gcd(np.gcd.reduce(upd, axis=1), upd_dens)
             upd //= gs[:, None]
             upd_dens //= gs
-            grown = max(maxabs(upd), maxabs(upd_dens))
             work[rest] = upd
             dens[rest] = upd_dens
         pivots.append(c)

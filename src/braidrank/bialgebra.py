@@ -425,7 +425,9 @@ def primitives(q: GradedQuotient, d: int) -> GradedSubspace:
             images = q.tensor_coords(i, d - i, k, _apply_delta_rows(q.space, i, d - i, kern.basis, cols))
             if images.is_zero():
                 continue
-            kern = Subspace.from_rows(kernel_basis(images.transpose()).basis @ kern.basis)
+            # both factors are rref bases, so their product is one too
+            inner = kernel_basis(images.transpose())
+            kern = Subspace(cols.size, inner.basis @ kern.basis, tuple(kern.pivots[r] for r in inner.pivots))
         parts.append(kern)
     out = q._prim_cache[d] = GradedSubspace(r_d.classes, tuple(parts))
     return out

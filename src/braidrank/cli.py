@@ -314,7 +314,7 @@ def _claim_output(path: str):
         finally:
             os.remove(tmp)
     except OSError as exc:
-        _fail_output(exc)
+        _fail(2, f"cannot write output: {exc}")
 
 
 def _stage_from_doc(k, report, n: int, cutoff: int, last: int) -> StageReport:
@@ -572,7 +572,7 @@ def _run_tower_cached(
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
-        _fail_output(exc)
+        _fail(2, f"cannot write output: {exc}")
     with contextlib.closing(_StageCache(os.path.join(cache_dir, _cache_key(spec, space) + ".json"))) as cache:
         report = tower.run(
             space,
@@ -584,7 +584,7 @@ def _run_tower_cached(
         try:
             cache.save(report)
         except OSError as exc:
-            _fail_output(exc)
+            _fail(2, f"cannot write output: {exc}")
     return report
 
 
@@ -658,20 +658,25 @@ def _common(fn):
     return _json_option(fn)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every command: a job that runs out of memory exits 4 with one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MemoryError as exc:
+            _fail(4, f"out of memory: {exc}")
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact braided bialgebra towers, combinatorial rank, Nichols truncations."""
 
 
-def _fail_parse(exc) -> "NoReturn":
-    click.echo(f"parse error: {exc}", err=True)
-    sys.exit(2)
-
-
-def _fail_output(exc: OSError) -> "NoReturn":
-    """An unusable --cache or --report path: exit 2, like a parse error."""
-    click.echo(f"cannot write output: {exc}", err=True)
-    sys.exit(2)
+def _fail(code: int, message: str) -> "NoReturn":
+    """One stderr line, then exit ``code`` (the README lists the codes)."""
+    click.echo(message, err=True)
+    sys.exit(code)
 
 
 def _load_job(input_path, cutoff, max_iter, oracle=None, check_options=None):
@@ -686,10 +691,9 @@ def _load_job(input_path, cutoff, max_iter, oracle=None, check_options=None):
             check_options(spec)
         return spec, spec.build_space()
     except ParseError as exc:
-        _fail_parse(exc)
+        _fail(2, f"parse error: {exc}")
     except BraidrankError as exc:
-        click.echo(f"invalid braiding: {exc}", err=True)
-        sys.exit(1)
+        _fail(1, f"invalid braiding: {exc}")
 
 
 @main.command()
@@ -702,7 +706,7 @@ def check(input_path, as_json):
         doc.setdefault("degree_cutoff", 1)
         space = JobSpec(doc).build_space()
     except ParseError as exc:
-        _fail_parse(exc)
+        _fail(2, f"parse error: {exc}")
     except BraidrankError as exc:
         witness = list(getattr(exc, "witness", ())) or None
         if as_json:
@@ -735,7 +739,7 @@ def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
         try:
             _atomic_write(report_path, (text,))
         except OSError as exc:
-            _fail_output(exc)
+            _fail(2, f"cannot write output: {exc}")
     if as_json:
         click.echo(text, nl=False)
     else:

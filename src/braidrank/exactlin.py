@@ -456,8 +456,13 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def kernel_basis(mat: Matrix) -> Subspace:
-    """The subspace {x : M x = 0}, of dimension cols - rank."""
-    return Subspace.from_rows(kernel_rows(*_rref_basis(mat)))
+    """The subspace {x : M x = 0}, of dimension cols - rank, from one rref, that of
+    M with its columns reversed: read back with rows and columns reversed, its
+    kernel rows are the rref of ker M, each 1 at its own free column and 0 at the others."""
+    n = mat.cols
+    basis, pivots = _rref_basis(Matrix(mat.field, mat.num[:, ::-1], mat.den, _token=_BUILD))
+    rows, free = kernel_rows(basis, pivots), np.delete(np.arange(n), pivots)
+    return Subspace(n, Matrix.build(mat.field, rows.num[::-1, ::-1], rows.den), tuple((n - 1 - free[::-1]).tolist()))
 
 
 def kernel_rows(basis: Matrix, pivots) -> Matrix:
@@ -481,16 +486,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the Zassenhaus double-block elimination."""
     a._check_ambient(b)
     n = a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.field, n)
     top = hstack([a.basis, a.basis])
     bot = hstack([b.basis, Matrix.zeros(b.field, b.dim, n)])
     red, pivots = vstack([top, bot]).rref()
+    # the rows with a pivot in the right half are already the rref of the meet
     rows = [i for i, p in enumerate(pivots) if p >= n]
-    if not rows:
-        return Subspace.zero(a.field, n)
-    right = red.take_rows(rows).take_columns(range(n, 2 * n))
-    return Subspace.from_rows(right)
+    return Subspace(n, red.take_rows(rows).take_columns(range(n, 2 * n)), tuple(pivots[i] - n for i in rows))
 
 
 def _as_row(field: FieldSpec, v) -> Matrix:

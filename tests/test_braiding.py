@@ -25,7 +25,6 @@ from braidrank import (
     make_flip,
     make_from_matrix,
 )
-from braidrank._accel import LIMIT
 from braidrank.braiding import (
     _multidegree,
     apply_generator,
@@ -180,14 +179,14 @@ ACTION_SPACES = [
 def action_case(draw):
     """A space, degree d, generator k, a word set (all words or one class) and a matrix on those rows.
 
-    Rational entries reach 3 * LIMIT, or 2**62 where the products need object dtype.
+    Rational entries reach 6 * 10**9, or 2**62 where the products need object dtype.
     """
     space = draw(st.sampled_from(ACTION_SPACES))
     d = draw(st.integers(2, 4))
     k = draw(st.integers(1, d - 1))
     words = draw(st.sampled_from([np.arange(space.n**d), *space.classes(d).cols]))
     if space.field.is_rationals:
-        bound = draw(st.sampled_from([3, 3 * LIMIT, 2**62]))
+        bound = draw(st.sampled_from([3, 3 * 2_000_000_000, 2**62]))
         entries = st.integers(-bound, bound)
     else:
         entries = st.integers(0, space.field.p - 1)

@@ -716,6 +716,32 @@ def test_unusable_output_path_exits_2(tmp_path, monkeypatch, command, output):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (134217728,) and data type int64")
+
+
+@pytest.mark.parametrize(
+    "args, module, name",
+    [
+        (["rank"], tower, "step"),
+        (["rank", "--oracle"], cli, "nichols_truncation"),
+        (["nichols"], tower, "step"),
+        (["nichols"], cli, "nichols_truncation"),
+        (["primitives", "--stage", "1", "--degree", "2"], tower, "step"),
+    ],
+)
+def test_out_of_memory_exits_4(tmp_path, monkeypatch, args, module, name):
+    # an allocation that fails inside the job, raised in process so that no
+    # large allocation happens: one stderr line, no traceback, no output
+    monkeypatch.setattr(module, name, _out_of_memory)
+    res = invoke([*args, "--json", "--cache", str(tmp_path / "cache")], doc=FLIP2)
+    assert res.exit_code == 4 and res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "out of memory: Unable to allocate 1.00 GiB for an array with shape (134217728,) and data type int64"
+    ]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)

@@ -27,7 +27,7 @@ from braidrank import (
 from braidrank import _accel
 from braidrank.bialgebra import GradedSubspace, _class_rows, _split
 from braidrank.braiding import WeightClasses
-from braidrank.exactlin import vstack
+from braidrank.exactlin import _rref_basis, kernel_rows, vstack
 
 F5 = GF(5)
 F7 = GF(7)
@@ -77,12 +77,15 @@ def reference_rref(rows, field):
 
 
 small_entries = st.integers(min_value=-9, max_value=9)
-# entries that put the int64 work of an elimination past LIMIT from the
-# first pivot, or that are stored as object arrays from the start
-HUGE_ENTRIES = st.sampled_from([_accel.LIMIT, _accel.LIMIT + 1, 10**20]).flatmap(
+# entries whose products in one pivot step come near 2**63 from the first
+# pivot, or that are stored as object arrays from the start
+HUGE_ENTRIES = st.sampled_from([2_000_000_000, 2_000_000_001, 10**20]).flatmap(
     lambda x: st.sampled_from([x, -x])
 )
 matrix_entries = st.one_of(small_entries, small_entries, HUGE_ENTRIES)
+# entries on either side of 2**62, where storage turns into object dtype
+NEAR_INT64_STORE = st.integers(2**62 - 3, 2**62 + 3).flatmap(lambda x: st.sampled_from([x, -x]))
+BIG_PRIME_FIELD = GF(BIG_PRIME)
 
 
 def entry_grid(rows, cols):
@@ -136,7 +139,7 @@ def arithmetic_case(draw):
     for rows, cols in ((r, k), (k, m), (r, k)):
         data = draw(entry_grid(rows, cols))
         # a denominator makes + and vstack bring two matrices to a common one
-        den = draw(st.sampled_from([1, 1, 2, 6, _accel.LIMIT + 1]))
+        den = draw(st.sampled_from([1, 1, 2, 6, 2_000_000_001]))
         values = reference_values(field, data, den)
         out.append((Matrix.from_scalars(field, values), values))
     return field, out
@@ -173,11 +176,32 @@ def test_rank_nullity(mat_data):
     assert mat.rank() + kernel_basis(mat).dim == mat.cols
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrix(F7))
-def test_kernel_vectors_annihilate(mat_data):
-    mat, _ = mat_data
+@st.composite
+def kernel_case(draw):
+    """A matrix over Q, GF(7) or GF(2**61 - 1): sometimes zero, with zero rows
+    mixed in, sometimes of full column rank, and with entries on both sides of
+    the int64 lanes."""
+    field = draw(st.sampled_from([RATIONALS, RATIONALS, F7, BIG_PRIME_FIELD]))
+    cols = draw(st.integers(1, 6))
+    entry = st.one_of(small_entries, small_entries, HUGE_ENTRIES, NEAR_INT64_STORE)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=5))
+    if draw(st.integers(0, 4)) == 0:
+        rows = [[0] * cols for _ in rows]
+    rows += [[0] * cols] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        # nonzero in all three fields: the rows span everything, the kernel is 0
+        rows += [[draw(st.sampled_from([1, -1, 2, 3])) if i == j else 0 for j in range(cols)] for i in range(cols)]
+    rows = draw(st.permutations(rows))
+    return Matrix.build(field, np.array(rows, dtype=object).reshape(len(rows), cols))
+
+
+@settings(max_examples=250, deadline=None)
+@given(kernel_case())
+def test_kernel_vectors_annihilate(mat):
     ker = kernel_basis(mat)
+    # the two-elimination form: the span of the kernel rows of rref(M)
+    _same_subspace(ker, Subspace.from_rows(kernel_rows(*_rref_basis(mat))))
+    assert mat.rank() + ker.dim == mat.cols
     if ker.dim:
         assert (mat @ ker.basis.transpose()).is_zero()
 
@@ -396,16 +420,35 @@ def test_exact_rule_promotes_all_operands_or_none():
         assert all(np.array_equal(x, y) for x, y in zip(out, ops))
 
 
-def test_rref_promotes_in_place_once_entries_pass_limit():
-    # entries start far below LIMIT and pass it only after a few pivots; in
-    # the second matrix only a row denominator passes it before the last step
+def _step_bounds(monkeypatch):
+    """The bounds rref_frac hands _accel.exact, one per pivot step with rows to update."""
+    bounds, exact = [], _accel.exact
+
+    def spy(bound, *arrays):
+        bounds.append(bound)
+        return exact(bound, *arrays)
+
+    monkeypatch.setattr(_accel, "exact", spy)
+    return bounds
+
+
+def test_rref_promotes_in_place_once_entries_pass_limit(monkeypatch):
+    # the first matrix's entries start far below 2**31 and its step bounds
+    # reach 2**63 only after a few pivots; the second one's row denominator
+    # passes 2 * 10**9 before the last step, and every step bound stays
+    # below 2**63, so it never leaves int64
     cases = [
-        np.random.default_rng(1).integers(-999, 1000, size=(6, 7)),
-        np.array([[0, -69722, -57112, 0, 1], [63418, 0, 0, 1, -1], [30177, -1, 0, 0, 0]]),
+        (np.random.default_rng(1).integers(-999, 1000, size=(6, 7)), object),
+        (np.array([[0, -69722, -57112, 0, 1], [63418, 0, 0, 1, -1], [30177, -1, 0, 0, 0]]), np.int64),
     ]
-    for num in cases:
+    bounds = _step_bounds(monkeypatch)
+    for num, dtype in cases:
+        bounds.clear()
         work, dens, pivots = _accel.rref_frac(num)
-        assert _accel.maxabs(num) <= _accel.LIMIT and work.dtype == object
+        assert work.dtype == dtype and dens.dtype == dtype
+        fits = [b < 2**63 for b in bounds]
+        assert fits[0] and fits == sorted(fits, reverse=True)
+        assert all(fits) is (dtype == np.int64)
         obj_work, obj_dens, obj_pivots = _accel.rref_frac(num.astype(object))
         assert pivots == obj_pivots
         assert np.array_equal(work, obj_work) and np.array_equal(dens, obj_dens)
@@ -414,13 +457,19 @@ def test_rref_promotes_in_place_once_entries_pass_limit():
         assert list(piv) == ref_piv and red == Matrix.from_scalars(RATIONALS, ref)
 
 
-def test_rref_limit_is_inclusive():
-    # after the first step row 1 is [0, -1] over den LIMIT; still int64
-    top = _accel.LIMIT
-    for first, dtype in ((top, np.int64), (top + 1, object)):
-        work, dens, pivots = _accel.rref_frac(np.array([[first, 1], [first, 0]], dtype=np.int64))
+def test_rref_limit_is_inclusive(monkeypatch):
+    # the first step's bound is |c| * 1 + 1 * 1: int64 up to 2**63 - 1; the
+    # second step bounds object work by 2**63 * 1 + 2**63 * 2**63
+    bounds = _step_bounds(monkeypatch)
+    for c, dtype in ((2**63 - 2, np.int64), (2**63 - 1, object)):
+        bounds.clear()
+        num = np.array([[1, 1], [1, c]], dtype=np.int64)
+        work, dens, pivots = _accel.rref_frac(num)
+        assert bounds == [c + 1, 2 if dtype == np.int64 else 2**63 + 2**126]
         assert work.dtype == dtype and pivots == [0, 1]
         assert work.tolist() == [[1, 0], [0, 1]] and dens.tolist() == [1, 1]
+        obj_work, obj_dens, obj_pivots = _accel.rref_frac(num.astype(object))
+        assert obj_pivots == pivots and obj_work.tolist() == work.tolist() and obj_dens.tolist() == [1, 1]
 
 
 def test_huge_scalars_on_zero_blocks():
@@ -454,8 +503,6 @@ def test_kernel_basis_on_int64_and_object_rrefs():
 # same canonical results as the flat elimination
 # ---------------------------------------------------------------------------
 
-NEAR_INT64_STORE = st.integers(2**62 - 3, 2**62 + 3).flatmap(lambda x: st.sampled_from([x, -x]))
-BIG_PRIME_FIELD = GF(BIG_PRIME)
 
 
 class _Labelled:
