@@ -9,7 +9,9 @@ dtype when it is not, or when any operand already is object dtype.  The
 kernels modulo a prime p ask it with the bound p**2.  Gauss-Jordan
 elimination over Q asks it once per pivot step, with the exact bound of
 that step's update; from the first step whose bound fails the work is
-object dtype.  The int64 and object paths give the same values.
+object dtype.  The int64 and object paths give the same values.  Every
+braid operator kept as index terms (a generator c_k, a monomial Delta_{i,j}
+on a weight class) is applied by the one gather kernel, :func:`gather_sum`.
 
 All kernels are sequential; repeated runs produce identical bytes.
 """
@@ -180,6 +182,21 @@ def matmul_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product."""
     a, b = exact(maxabs(a) * maxabs(b) * a.shape[1], a, b)
     return a @ b
+
+
+def gather_sum(a: np.ndarray, src: np.ndarray, num: np.ndarray, p: int | None = None) -> np.ndarray:
+    """Exact sum over terms t of a[src[t]] * num[t][:, None], for terms x m ``src`` and ``num``.
+
+    Modulo ``p`` each product is reduced before the sum, which the caller
+    reduces.  Runs in blocks of about 2**20 (term, row, column) entries."""
+    terms, prod = len(src), maxabs(a) * maxabs(num)
+    a, num = exact(prod * terms if p is None else max(prod, terms * p), a, num)
+    out = np.empty((src.shape[1], a.shape[1]), dtype=a.dtype)
+    step = max(1, (1 << 20) // max(1, terms * a.shape[1]))
+    for u in range(0, len(out), step):
+        part = a[src[:, u : u + step]] * num[:, u : u + step, None]
+        out[u : u + step] = (part if p is None else part % p).sum(axis=0)
+    return out
 
 
 def kron_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 from . import _accel, shuffle
 from .braiding import BraidedSpace, WeightClasses, check_degree
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
-from .exactlin import Matrix, Subspace, kernel_basis, kernel_rows, matmul_num, vstack
+from .exactlin import Matrix, Subspace, _place, kernel_basis, kernel_rows, matmul_num, vstack
 
 __all__ = [
     "GradedQuotient",
@@ -102,13 +102,6 @@ class GradedSubspace:
 
 def _non_pivots(sub: Subspace) -> np.ndarray:
     return np.delete(np.arange(sub.ambient_dim), sub.pivots)
-
-
-def _place(mat: Matrix, cols: np.ndarray, width: int) -> Matrix:
-    """``mat`` as the columns ``cols`` of a matrix ``width`` wide, zero elsewhere."""
-    num = np.zeros((mat.rows, width), dtype=mat.num.dtype)
-    num[:, cols] = mat.num
-    return Matrix.build(mat.field, num, mat.den)
 
 
 def _class_rows(classes: WeightClasses, gen) -> list[Matrix] | None:
@@ -264,34 +257,22 @@ def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix, cols: n
     """rows @ Delta_{i,j}^T, or rows @ Delta_{i,j} when ``transposed``.
 
     The rows live on the words ``cols`` of a class, which Delta maps to
-    itself.  For a monomial braiding, rows @ Delta is the
-    sum over the terms of :func:`braidrank.shuffle._monomial_delta` of
-    rows[:, tgt] * num, and rows @ Delta^T uses each term's inverse
+    itself.  For a monomial braiding, rows @ Delta^T is the sum over the
+    terms of :func:`braidrank.shuffle._monomial_delta`, sliced to the
+    class, of rows[:, src] * num, and rows @ Delta uses each term's inverse
     permutation; any other braiding multiplies by the class's block of
     :func:`braidrank.shuffle.delta_component`.
     """
     if not space.is_monomial:
-        delta = shuffle.delta_component(space, i, j).take_rows(cols).take_columns(cols)
+        delta = shuffle.delta_component(space, i, j, cols)
         return rows @ (delta if transposed else delta.transpose())
-    tgt, num, den = shuffle._monomial_delta(space, i, j)
-    tgt, num = np.searchsorted(cols, tgt[:, cols]), num[:, cols]
-    if not transposed:
-        tgt = np.argsort(tgt, axis=1)
-        num = np.take_along_axis(num, tgt, axis=1)
-    # all terms at once, in row blocks of about 2**20 (row, term, column) entries
-    terms, size = tgt.shape
-    prod = _accel.maxabs(rows.num) * _accel.maxabs(num)
-    # over F_p each product is reduced before the sum
-    bound = prod * terms if space.field.is_rationals else max(prod, terms * space.field.p)
-    src, num = _accel.exact(bound, rows.num, num)
-    step = max(1, (1 << 20) // (terms * size))
-    out = np.empty((rows.rows, size), dtype=src.dtype)
-    for r in range(0, rows.rows, step):
-        part = src[r : r + step][:, tgt] * num
-        if not space.field.is_rationals:
-            part %= space.field.p
-        out[r : r + step] = part.sum(axis=1)
-    return Matrix.build(space.field, out, rows.den * den)
+    src, num, den = shuffle._monomial_delta(space, i, j)
+    src, num = np.searchsorted(cols, src[:, cols]), num[:, cols]
+    if transposed:
+        src = np.argsort(src, axis=1)
+        num = np.take_along_axis(num, src, axis=1)
+    out = _accel.gather_sum(rows.num.T, src, num, space.field.p)
+    return Matrix.build(space.field, out.T, rows.den * den)
 
 
 # ---------------------------------------------------------------------------

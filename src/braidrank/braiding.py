@@ -36,7 +36,7 @@ from .errors import (
     YangBaxterViolation,
     ZeroParameter,
 )
-from ._accel import exact, maxabs
+from ._accel import gather_sum
 from .exactlin import FieldSpec, Matrix, coerce_scalar
 
 DIMENSION_CAP = 8
@@ -307,9 +307,5 @@ def generator_terms(space: BraidedSpace, d: int, k: int, words: np.ndarray) -> t
 
 def apply_generator(space: BraidedSpace, d: int, k: int, words: np.ndarray, mat: Matrix) -> Matrix:
     """c_k @ mat on V^(x)d, the rows of ``mat`` being the words ``words`` (see :func:`generator_terms`)."""
-    src, num = generator_terms(space, d, k, words)
-    a, num = exact(maxabs(mat.num) * maxabs(num) * len(num), mat.num, num)
-    out = a[src[0]] * num[0][:, None]
-    for s, c in zip(src[1:], num[1:]):
-        out += a[s] * c[:, None]
+    out = gather_sum(mat.num, *generator_terms(space, d, k, words), mat.field.p)
     return Matrix.build(mat.field, out, mat.den * space.c.den)

@@ -365,6 +365,13 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix.build(field, np.vstack([a * f if f != 1 else a for a, f in zip(parts, factors)]), den)
 
 
+def _place(mat: Matrix, cols: np.ndarray, width: int) -> Matrix:
+    """``mat`` as the columns ``cols`` of a matrix ``width`` wide, zero elsewhere."""
+    num = np.zeros((mat.rows, width), dtype=mat.num.dtype)
+    num[:, cols] = mat.num
+    return Matrix.build(mat.field, num, mat.den)
+
+
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     ts = [m.transpose() for m in mats]
     return vstack(ts).transpose()

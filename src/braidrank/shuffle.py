@@ -9,8 +9,9 @@ by the braided q-Pascal recursion on the last tensor slot (Rosso 1998):
 
 with d = i + j, Delta_{i,0} = Delta_{0,j} = Id, and c_{d-1} acting first.
 A monomial braiding (flip, diagonal) keeps Delta_{i,j} as C(d, i) integer
-terms, the rows of a targets array and a numerators array, over one
-denominator; any other braiding keeps a dense matrix.
+terms in gather form, the rows of a sources array and a numerators array,
+over one denominator; any other braiding keeps a dense matrix per weight
+class, where Delta (x) Id is block diagonal over the last letter.
 
 The quantum symmetrizer S_d, the sum of the positive lifts of all of S_d,
 is the independent oracle for the tower.  It unrolls the factorization
@@ -25,10 +26,10 @@ from itertools import combinations
 
 import numpy as np
 
-from ._accel import exact, maxabs
+from ._accel import exact, gather_sum, maxabs
 from .braiding import BraidedSpace, apply_generator, braid_word, check_degree, generator_terms, lexmin_reduced_word
 from .errors import DegreeCap
-from .exactlin import FieldSpec, Matrix, Scalar, coerce_scalar
+from .exactlin import FieldSpec, Matrix, Scalar, _place, coerce_scalar, vstack
 
 
 def unshuffles(i: int, j: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -64,29 +65,27 @@ def _times(a: np.ndarray, b, field: FieldSpec) -> np.ndarray:
 
 
 def _monomial_lift(space: BraidedSpace, d: int, word):
-    """Lift of a braid word on V^(x)d: index t goes to num[t] / c.den**len(word) at tgt[t].
+    """Lift of a braid word on V^(x)d in gather form: index u gets num[u] / c.den**len(word) times src[u].
 
-    The one-term generator actions compose from the leftmost letter, then invert."""
+    The one-term generator actions compose from the leftmost letter."""
     words = np.arange(space.n**d)
     src, num = words, np.ones(words.size, dtype=np.int64)
     for k in word:
         (s,), (c,) = generator_terms(space, d, k, words)
         src, num = s[src], _times(num, c[src], space.field)
-    tgt = np.empty_like(src)
-    tgt[src] = words
-    return tgt, num[tgt]
+    return src, num
 
 
 def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix) -> Matrix:
-    """Dense lift of a braid word times ``mat`` (the name the benchmark tracer counts)."""
+    """Dense lift of a braid word times ``mat``: no caller here, the name the benchmark tracer counts."""
     return braid_word(space, d, word, mat)
 
 
 def _monomial_delta(space: BraidedSpace, i: int, j: int):
-    """Delta_{i,j} of a monomial braiding as ``(tgt, num, den)``, cached.
+    """Delta_{i,j} of a monomial braiding as ``(src, num, den)``, cached.
 
-    Row t of the C(i+j, i) x n^(i+j) arrays is one term: it sends basis
-    index c to num[t, c] / den at tgt[t, c], and Delta_{i,j} is the sum of
+    Row t of the C(i+j, i) x n^(i+j) arrays is one term: index u gets
+    num[t, u] / den times index src[t, u], and Delta_{i,j} is the sum of
     the terms; den = c.den**(i*j).
     """
     out = space._delta_cache.get((i, j))
@@ -100,47 +99,54 @@ def _monomial_delta(space: BraidedSpace, i: int, j: int):
         # (which carries c.den**j): both parts come to den c.den**(i*j)
         ident = np.arange(n**d), _times(np.ones(n**d, dtype=np.int64), space.c.den**i, space.field)
         chain = _monomial_lift(space, d, range(i, d))
-        tgts, nums = [], []
+        srcs, nums = [], []
         parts = ((_monomial_delta(space, i, j - 1), ident), (_monomial_delta(space, i - 1, j), chain))
-        for (tgt, num, _), (ctgt, cnum) in parts:
-            tgt = (tgt[:, :, None] * n + np.arange(n)).reshape(tgt.shape[0], -1)
-            tgts.append(ctgt[tgt])
-            nums.append(_times(np.repeat(num, n, axis=1), cnum[tgt], space.field))
-        out = np.vstack(tgts), np.vstack(nums), space.c.den ** (i * j)
+        for (src, num, _), (csrc, cnum) in parts:
+            srcs.append((src[:, :, None] * n + np.arange(n)).reshape(src.shape[0], -1)[:, csrc])
+            nums.append(_times(np.repeat(num, n, axis=1)[:, csrc], cnum, space.field))
+        out = np.vstack(srcs), np.vstack(nums), space.c.den ** (i * j)
     space._delta_cache[(i, j)] = out
     return out
 
 
-def _assemble_monomial_sum(space: BraidedSpace, d: int, tgt: np.ndarray, num: np.ndarray, den: int) -> Matrix:
-    """Dense matrix of a sum of monomial terms (rows of ``tgt`` and ``num``) over ``den``."""
-    size = space.n**d
-    (num,) = exact(maxabs(num) * len(num), num)
-    out = np.zeros((size, size), dtype=num.dtype)
-    np.add.at(out, (tgt, np.arange(size)), num)
-    return Matrix.build(space.field, out, den)
+def _assemble_monomial_sum(space: BraidedSpace, src: np.ndarray, num: np.ndarray, den: int) -> Matrix:
+    """Dense matrix of a sum of monomial terms (rows of ``src`` and ``num``) over ``den``."""
+    return Matrix.build(space.field, gather_sum(np.eye(src.shape[1], dtype=np.int64), src, num, space.field.p), den)
 
 
-def delta_component(space: BraidedSpace, i: int, j: int) -> Matrix:
-    """The coproduct component Delta_{i,j} on V^(x)(i+j) as a dense matrix.
+def _delta_id(space: BraidedSpace, i: int, j: int, words: np.ndarray) -> Matrix:
+    """Delta_{i,j} (x) Id on ``words`` of V^(x)(i+j+1): block diagonal over the last letter."""
+    pos = [np.flatnonzero(words % space.n == e) for e in range(space.n)]
+    rows = [_place(delta_component(space, i, j, words[p] // space.n), p, words.size) for p in pos]
+    return vstack(rows).take_rows(np.argsort(np.concatenate(pos)))
 
+
+def delta_component(space: BraidedSpace, i: int, j: int, words: np.ndarray | None = None) -> Matrix:
+    """The coproduct component Delta_{i,j} on V^(x)(i+j): its dense block on ``words``.
+
+    ``words`` are ascending words that Delta maps to itself (default all).
     Delta_{0,d} = Delta_{d,0} = Id and Delta_{1,1} = Id + c; the codomain
-    V^(x)i (x) V^(x)j is indexed by the shared big-endian convention, so the
-    matrix is square of size n^(i+j).
+    V^(x)i (x) V^(x)j is indexed by the shared big-endian convention.  A
+    braiding that is not monomial caches the block per (i, j, words).
     """
     if i < 0 or j < 0:
         raise DegreeCap("degrees must be nonnegative")
     d = i + j
     check_degree(d)
+    words = np.arange(space.n**d) if words is None else words
     if space.is_monomial:
-        return _assemble_monomial_sum(space, d, *_monomial_delta(space, i, j))
-    out = space._delta_cache.get((i, j))
+        src, num, den = _monomial_delta(space, i, j)
+        return _assemble_monomial_sum(space, np.searchsorted(words, src[:, words]), num[:, words], den)
+    key = (i, j, words.tobytes())
+    out = space._delta_cache.get(key)
     if out is None:
-        out = Matrix.identity(space.field, space.n**d)
+        out = Matrix.identity(space.field, words.size)
         if i and j:
-            eye = Matrix.identity(space.field, space.n)
-            moved = _dense_lift(space, d, range(i, d), delta_component(space, i - 1, j).kron(eye))
-            out = delta_component(space, i, j - 1).kron(eye) + moved
-        space._delta_cache[(i, j)] = out
+            moved = _delta_id(space, i - 1, j, words)
+            for k in range(d - 1, i - 1, -1):
+                moved = apply_generator(space, d, k, words, moved)
+            out = _delta_id(space, i, j - 1, words) + moved
+        space._delta_cache[key] = out
     return out
 
 

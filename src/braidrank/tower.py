@@ -24,7 +24,6 @@ import numpy as np
 
 from .bialgebra import (
     GradedQuotient,
-    _place,
     free_truncated,
     hilbert_series,
     ideal_saturate,
@@ -32,7 +31,7 @@ from .bialgebra import (
 )
 from .braiding import BraidedSpace, make_from_matrix
 from .errors import BialgebraInvariantError, DimensionMismatch, EnvelopeExceeded
-from .exactlin import Matrix, vstack
+from .exactlin import Matrix, _place, vstack
 from .shuffle import block_transposition
 
 __all__ = [

@@ -40,14 +40,20 @@ def conjugated_space():
     return make_from_matrix(2, RATIONALS, t.kron(t) @ base.c @ t_inv.kron(t_inv))
 
 
-def hecke_space(field):
-    """The Hecke braiding of U_q(gl_2) at q = 2 (n=2): graded, not monomial.
+def hecke_space(field, n=2):
+    """The Hecke braiding of U_q(gl_n) at q = 2 (default n=2): graded, not monomial.
 
-    c(e0e0) = q e0e0, c(e0e1) = e1e0, c(e1e0) = e0e1 + (q - 1/q) e1e0 and
-    c(e1e1) = q e1e1, so c has two terms on e1e0, inside its weight class."""
+    c(e_i e_i) = q e_i e_i; for i < j, c(e_i e_j) = e_j e_i and
+    c(e_j e_i) = e_i e_j + (q - 1/q) e_j e_i, so c has two terms on e_j e_i,
+    inside its weight class."""
     h = Fraction(3, 2) if field.is_rationals else 3 * pow(2, -1, field.p) % field.p
-    entries = [[2, 0, 0, 0], [0, 0, 1, 0], [0, 1, h, 0], [0, 0, 0, 2]]
-    return make_from_matrix(2, field, Matrix.from_scalars(field, entries))
+    entries = [[0] * n**2 for _ in range(n**2)]
+    for i in range(n):
+        entries[i * n + i][i * n + i] = 2
+        for j in range(i + 1, n):
+            entries[j * n + i][i * n + j] = entries[i * n + j][j * n + i] = 1
+            entries[j * n + i][j * n + i] = h
+    return make_from_matrix(n, field, Matrix.from_scalars(field, entries))
 
 
 def witt(n: int, d: int) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from braidrank.braiding import BraidedSpace
 from braidrank.exactlin import hstack, kernel_basis, vstack
 from braidrank.tower import run
 
-from conftest import diagonal_space, jordan_space, sym_dim, witt
+from conftest import diagonal_space, hecke_space, jordan_space, sym_dim, witt
 
 
 def span(field, ambient, rows):
@@ -91,7 +92,7 @@ def test_saturate_flags_non_coideal_generators(space):
     # Delta(e01) = e01 + c(e01) does not lie in R_1 (x) V + V (x) R_1 = 0.
     # The algebra quotient is still formed, but the coproduct does not
     # descend, so the primitive computation refuses it.  The cases cover
-    # the monomial scatter over Q and over F_p and the dense product.
+    # the monomial gather over Q and over F_p and the dense product.
     q = free_truncated(space, 3)
     bad = span(space.field, 4, [[0, 1, 0, 0]])
     out = ideal_saturate(q, [(2, bad)])
@@ -214,8 +215,8 @@ def test_tensor_coords_kernel_is_the_mixing_space():
                     assert projected == reference, (space, d, i)
 
 
-def test_scatter_application_matches_dense_product():
-    # the monomial scatter path and the dense matrix product are two
+def test_gather_application_matches_dense_product():
+    # the monomial gather path and the dense matrix product are two
     # implementations of rows @ Delta^T, and with the transposed terms of
     # rows @ Delta; they must agree entry for entry
     from braidrank import delta_component, shuffle
@@ -255,6 +256,26 @@ def test_scatter_application_matches_dense_product():
         for rows in blocks:
             assert _apply_delta_rows(space, i, j, rows, words) == rows @ delta.transpose(), (i, j, rows.rows)
             assert _apply_delta_rows(space, i, j, rows, words, transposed=True) == rows @ delta, (i, j, rows.rows)
+
+
+def test_graded_dense_delta_stays_on_the_class():
+    # a graded braiding that is not monomial applies Delta from its class
+    # blocks: on the largest class of Hecke gl_3 at d = 6 (90 words) every
+    # split traces less than one flat 729 x 729 int64 matrix
+    from braidrank.bialgebra import _apply_delta_rows
+
+    space = hecke_space(RATIONALS, 3)
+    cols = max(space.classes(6).cols, key=len)
+    rows = Matrix.identity(RATIONALS, cols.size)
+    tracemalloc.start()
+    try:
+        for i in range(1, 6):
+            _apply_delta_rows(space, i, 6 - i, rows, cols)
+            _apply_delta_rows(space, i, 6 - i, rows, cols, transposed=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 729 * 729 * 8, peak
 
 
 def test_hilbert_nonincreasing_under_saturation():

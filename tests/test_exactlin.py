@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidrank import (
     GF,
@@ -418,6 +418,54 @@ def test_exact_rule_promotes_all_operands_or_none():
         out = _accel.exact(bound, *ops)
         assert [x.dtype for x in out] == [object] * len(ops)
         assert all(np.array_equal(x, y) for x, y in zip(out, ops))
+
+
+@st.composite
+def gather_case(draw):
+    """A matrix, index terms and a modulus for _accel.gather_sum, with zero
+    rows, zero columns and one term among the shapes; entries reach 2**62
+    over Q and are residues modulo p."""
+    p = draw(st.sampled_from([None, 7, 2**31 - 1, 2**61 - 1]))
+    entry = st.integers(-(2**62), 2**62) if p is None else st.integers(0, p - 1)
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    terms, size = draw(st.integers(1, 3)), draw(st.integers(0, 4)) if rows else 0
+
+    def grid(elems, shape):
+        flat = draw(st.lists(elems, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    src = grid(st.integers(0, max(rows - 1, 0)), (terms, size))
+    return p, grid(entry, (rows, cols)), src, grid(entry, (terms, size))
+
+
+def _gather(p, a, src, num):
+    return p, np.array(a, dtype=np.int64), np.array(src, dtype=np.int64), np.array(num, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gather_case())
+# three products of (2**31 - 2)**2 overflow int64 unless each is reduced first
+@example(_gather(2**31 - 1, [[2**31 - 2]], [[0], [0], [0]], [[2**31 - 2]] * 3))
+# a bound of 2**62 stays int64, 2**63 does not
+@example(_gather(None, [[2**62, 1]], [[0]], [[1]]))
+@example(_gather(None, [[2**62, 1]], [[0], [0]], [[1], [1]]))
+def test_gather_sum_matches_python_ints(case):
+    p, a, src, num = case
+    out = _accel.gather_sum(a, src, num, p)
+    terms, size = src.shape
+    ref = [
+        [sum(int(a[src[t, u], c]) * int(num[t, u]) for t in range(terms)) for c in range(a.shape[1])]
+        for u in range(size)
+    ]
+    got = out.tolist()
+    if p is not None:
+        ref, got = [[x % p for x in row] for row in ref], [[x % p for x in row] for row in got]
+    assert out.shape == (size, a.shape[1]) and got == ref
+    # modulo p each product is reduced before the sum, so it is bounded by
+    # the larger of one product and terms * p
+    prod = _accel.maxabs(a) * _accel.maxabs(num)
+    bound = prod * terms if p is None else max(prod, terms * p)
+    assert (out.dtype == np.int64) is (bound < 2**63), (bound, out.dtype)
 
 
 def _step_bounds(monkeypatch):

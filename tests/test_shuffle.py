@@ -189,6 +189,31 @@ def test_symmetrizer_class_columns_are_the_flat_columns():
             assert not flat.num[classes.label[:, None] != classes.label].any(), (space, d)
 
 
+def test_delta_class_blocks_are_the_flat_blocks():
+    # Delta_{i,d-i} on one weight class, built from that class's words
+    # alone, is the flat Delta's block on the class, and the flat Delta is
+    # zero off the class blocks
+    spaces = [
+        make_flip(3, RATIONALS),
+        diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
+        diagonal_space(F7, [[2, 3], [4, 5]]),
+        JORDAN,
+        conjugated_space(),
+        hecke_space(RATIONALS),
+        hecke_space(GF(5)),
+        hecke_space(RATIONALS, 3),
+    ]
+    for space in spaces:
+        for d in range(1, 5):
+            classes = space.classes(d)
+            for i in range(d + 1):
+                flat = delta_component(space, i, d - i)
+                for cols in classes.cols:
+                    block = delta_component(space, i, d - i, cols)
+                    assert block == flat.take_rows(cols).take_columns(cols), (space, d, i, cols)
+                assert not flat.num[classes.label[:, None] != classes.label].any(), (space, d, i)
+
+
 def coassoc_holds(space, i, j, k):
     lhs = delta_component(space, i, j).kron(eye(space, k)) @ delta_component(space, i + j, k)
     rhs = eye(space, i).kron(delta_component(space, j, k)) @ delta_component(space, i, j + k)
