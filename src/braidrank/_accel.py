@@ -18,8 +18,6 @@ All kernels are sequential; repeated runs produce identical bytes.
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
 # int64 holds every integer of absolute value below this.
@@ -54,28 +52,29 @@ def exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# rational Gauss-Jordan with per-row denominators and content stripping
+# rational Gauss-Jordan on primitive integer rows
 #
-# State: integer numerator matrix plus one positive denominator per row.
-# After each elimination the row is divided by the gcd of its entries and
-# its denominator, so entry sizes track the actual reduced-form values
-# rather than the exponentially growing Bareiss minors.  Pivot rows are
-# normalised immediately (pivot value 1, i.e. num[r, c] == den[r]).
+# State: an integer matrix whose rows stand for rational rows up to a
+# positive scale.  After each elimination a row is divided by the gcd of
+# its entries, so entry sizes track the reduced-form values rather than
+# the exponentially growing Bareiss minors.  A pivot row is made positive
+# at its pivot and primitive, so its pivot entry is the row's denominator.
 # ---------------------------------------------------------------------------
 
 
 def rref_frac(num: np.ndarray):
-    """Rational rref of an integer matrix (row denominators are internal).
+    """Rational rref of an integer matrix, each row kept as a primitive integer vector.
 
-    Returns ``(numerators, row_dens, pivots)`` describing the unique rref:
-    row i of the result is ``numerators[i] / row_dens[i]``.  The input is
-    not modified.  Each pivot step passes :func:`exact` the bound of its
-    update: int64 work turns into object dtype at the first step that could
-    leave int64 and continues from there; the same lines run on both.
+    Returns ``(work, pivots)`` describing the unique rref: row i of the
+    result is ``work[i] / work[i, pivots[i]]`` for i below the rank, where
+    that pivot entry is positive, and the rows below the rank are zero.
+    The input is not modified.  Each pivot step passes :func:`exact` the
+    bound of its update: int64 work turns into object dtype at the first
+    step that could leave int64 and continues from there; the same lines
+    run on both.
     """
     rows, cols = num.shape
     work = num.astype(object) if num.dtype == object else np.array(num, dtype=np.int64, order="C")
-    dens = np.ones(rows, dtype=work.dtype)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -87,36 +86,26 @@ def rref_frac(num: np.ndarray):
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
-            dens[[r, i]] = dens[[i, r]]
-        piv = work[r, c]
-        if piv < 0:
+        if work[r, c] < 0:
             work[r] = -work[r]
-            piv = -piv
-        dens[r] = piv
         # np.gcd is nonnegative on int64 and object entries alike
-        g = gcd(int(np.gcd.reduce(work[r])), int(piv))
-        if g > 1:
-            work[r] = work[r] // g
-            dens[r] = dens[r] // g
-        dr = int(dens[r])  # a Python int: the bound below must not wrap in int64
+        work[r] //= np.gcd.reduce(work[r])
+        piv = int(work[r, c])  # a Python int: the bound below must not wrap in int64
         f = work[:, c].copy()
         rest = np.flatnonzero(f)
         rest = rest[rest != r]
         if rest.size:
             upd = work[rest]
-            # |work * dr - f * pivot row| and |dens * dr| over the rows updated
-            bound = max(maxabs(upd), maxabs(dens[rest])) * dr + maxabs(f[rest]) * maxabs(work[r])
-            work, dens, upd = exact(bound, work, dens, upd)
-            upd = upd * dr - np.outer(f[rest], work[r])
-            upd_dens = dens[rest] * dr
-            gs = np.gcd(np.gcd.reduce(upd, axis=1), upd_dens)
-            upd //= gs[:, None]
-            upd_dens //= gs
+            # |work * piv - f * pivot row| over the rows updated
+            bound = maxabs(upd) * piv + maxabs(f[rest]) * maxabs(work[r])
+            work, upd = exact(bound, work, upd)
+            upd = upd * piv - np.outer(f[rest], work[r])
+            # a row that became zero has gcd 0 and stays zero
+            upd //= np.maximum(np.gcd.reduce(upd, axis=1), 1)[:, None]
             work[rest] = upd
-            dens[rest] = upd_dens
         pivots.append(c)
         r += 1
-    return work, dens, pivots
+    return work, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ Scalar = Union[Fraction, int]
 
 MAX_PRIME = 1 << 61
 
-# object arrays are stored as int64 below this bound; this is a storage
-# rule only, the working dtype of each operation is chosen by _accel.exact.
+# a matrix is stored as int64 exactly when every |entry| is below this bound;
+# a storage rule only, the working dtype of each operation is chosen by
+# _accel.exact.
 _INT64_STORE = 1 << 62
 
 # the Python int of each entry of an object array, as a new object array
@@ -196,16 +197,17 @@ class Matrix:
             if g > 1:
                 num = num // g
                 den = den // g
+            # object exactly when some |entry| >= 2**62, whichever dtype came in
+            big = num.size and (np.abs(num).max() if num.dtype == object else _accel.maxabs(num)) >= _INT64_STORE
         else:
             if den != 1:
                 inv = pow(den % field.p, -1, field.p)
                 num = num.astype(object) * inv
                 den = 1
             num = (num if num.dtype == object else num.astype(np.int64)) % field.p
-        if num.dtype == object and (not num.size or np.abs(num).max() < _INT64_STORE):
-            num = num.astype(np.int64)
+            big = False  # every residue is below p < 2**61
         # a new array either way; object entries become Python ints
-        num = _to_int(num) if num.dtype == object else np.array(num, dtype=np.int64, order="C")
+        num = _to_int(num) if big else np.array(num, dtype=np.int64, order="C")
         num.setflags(write=False)
         return Matrix(field, num, int(den), _token=_BUILD)
 
@@ -325,9 +327,9 @@ class Matrix:
         if not self.field.is_rationals:
             work, pivots = _accel.rref_mod(self.num, self.field.p)
             return Matrix.build(self.field, work), tuple(pivots)
-        # row i is work[i] / dens[i]; the zero rows below the rank keep factor 1
-        work, dens, pivots = _accel.rref_frac(self.num)
-        ranked = [int(d) for d in dens[: len(pivots)]]
+        # row i is work[i] / work[i, pivots[i]]; the zero rows below the rank keep factor 1
+        work, pivots = _accel.rref_frac(self.num)
+        ranked = [int(work[i, c]) for i, c in enumerate(pivots)]
         den = lcm(*ranked)
         if den > 1:
             factors = np.array([den // d for d in ranked] + [1] * (self.rows - len(ranked)), dtype=object)

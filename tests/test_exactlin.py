@@ -100,14 +100,35 @@ def small_matrix(draw, field):
     return Matrix.from_scalars(field, data), data
 
 
+def check_rref_frac(data, ref, ref_piv):
+    """_accel.rref_frac on ``data`` in the object lane, and in the int64 lane where it fits.
+
+    Every nonzero row is primitive with a positive pivot entry and equals
+    its reference row times that entry; the rows below the rank are zero.
+    """
+    work, pivots = _accel.rref_frac(np.array(data, dtype=object))
+    assert pivots == ref_piv
+    for i, c in enumerate(pivots):
+        assert work[i, c] > 0 and np.gcd.reduce(work[i]) == 1
+        assert [Fraction(int(x), int(work[i, c])) for x in work[i]] == ref[i]
+    assert all(x == 0 for x in work[len(pivots) :].flat)
+    if max(abs(x) for row in data for x in row) < 2**63:
+        lane_work, lane_pivots = _accel.rref_frac(np.array(data, dtype=np.int64))
+        assert lane_pivots == pivots and lane_work.tolist() == work.tolist()
+
+
 @settings(max_examples=120, deadline=None)
 @given(small_matrix(RATIONALS))
+# in each, a row becomes zero partway through elimination, and its gcd is 0
+@example((Matrix.from_scalars(RATIONALS, [[1, 2], [2, 4]]), [[1, 2], [2, 4]]))
+@example((Matrix.from_scalars(RATIONALS, [[0, 3, 1], [1, 2, 3], [2, 4, 6]]), [[0, 3, 1], [1, 2, 3], [2, 4, 6]]))
 def test_rref_matches_reference_oracle_rationals(mat_data):
     mat, data = mat_data
     red, pivots = rref(mat)
     ref, ref_piv = reference_rref(data, RATIONALS)
     assert pivots == ref_piv
     assert red.scalar_rows() == ref
+    check_rref_frac(data, ref, ref_piv)
 
 
 MOD_P_FIELDS = [F5, GF(INT64_LANE_PRIME), GF(BIG_PRIME)]
@@ -328,6 +349,7 @@ def test_rref_huge_entries_matches_reference():
     ref, ref_piv = reference_rref(data, RATIONALS)
     assert piv == ref_piv
     assert red.scalar_rows() == ref
+    check_rref_frac(data, ref, ref_piv)
 
 
 def test_results_are_reproducible():
@@ -482,9 +504,9 @@ def _step_bounds(monkeypatch):
 
 def test_rref_promotes_in_place_once_entries_pass_limit(monkeypatch):
     # the first matrix's entries start far below 2**31 and its step bounds
-    # reach 2**63 only after a few pivots; the second one's row denominator
-    # passes 2 * 10**9 before the last step, and every step bound stays
-    # below 2**63, so it never leaves int64
+    # reach 2**63 only after a few pivots; the second one's largest entry
+    # passes 10**9 before the last step, and every step bound stays below
+    # 2**63, so it never leaves int64
     cases = [
         (np.random.default_rng(1).integers(-999, 1000, size=(6, 7)), object),
         (np.array([[0, -69722, -57112, 0, 1], [63418, 0, 0, 1, -1], [30177, -1, 0, 0, 0]]), np.int64),
@@ -492,14 +514,14 @@ def test_rref_promotes_in_place_once_entries_pass_limit(monkeypatch):
     bounds = _step_bounds(monkeypatch)
     for num, dtype in cases:
         bounds.clear()
-        work, dens, pivots = _accel.rref_frac(num)
-        assert work.dtype == dtype and dens.dtype == dtype
+        work, pivots = _accel.rref_frac(num)
+        assert work.dtype == dtype
         fits = [b < 2**63 for b in bounds]
         assert fits[0] and fits == sorted(fits, reverse=True)
         assert all(fits) is (dtype == np.int64)
-        obj_work, obj_dens, obj_pivots = _accel.rref_frac(num.astype(object))
+        obj_work, obj_pivots = _accel.rref_frac(num.astype(object))
         assert pivots == obj_pivots
-        assert np.array_equal(work, obj_work) and np.array_equal(dens, obj_dens)
+        assert np.array_equal(work, obj_work)
         red, piv = Matrix.build(RATIONALS, num).rref()
         ref, ref_piv = reference_rref(num.tolist(), RATIONALS)
         assert list(piv) == ref_piv and red == Matrix.from_scalars(RATIONALS, ref)
@@ -512,12 +534,12 @@ def test_rref_limit_is_inclusive(monkeypatch):
     for c, dtype in ((2**63 - 2, np.int64), (2**63 - 1, object)):
         bounds.clear()
         num = np.array([[1, 1], [1, c]], dtype=np.int64)
-        work, dens, pivots = _accel.rref_frac(num)
+        work, pivots = _accel.rref_frac(num)
         assert bounds == [c + 1, 2 if dtype == np.int64 else 2**63 + 2**126]
         assert work.dtype == dtype and pivots == [0, 1]
-        assert work.tolist() == [[1, 0], [0, 1]] and dens.tolist() == [1, 1]
-        obj_work, obj_dens, obj_pivots = _accel.rref_frac(num.astype(object))
-        assert obj_pivots == pivots and obj_work.tolist() == work.tolist() and obj_dens.tolist() == [1, 1]
+        assert work.tolist() == [[1, 0], [0, 1]]
+        obj_work, obj_pivots = _accel.rref_frac(num.astype(object))
+        assert obj_pivots == pivots and obj_work.tolist() == work.tolist()
 
 
 def test_huge_scalars_on_zero_blocks():
@@ -605,6 +627,9 @@ def _by_class(mat, codes):
 
 @settings(max_examples=300, deadline=None)
 @given(labelled_rows())
+# the rref holds -2**63 + 6, which fits int64 but is stored as object, whether
+# it comes from the flat int64 elimination or from the class blocks
+@example((Matrix.from_scalars(RATIONALS, [[0, 1, 0, 2**62 - 3], [0, 2, 1, 0]]), np.array([0, 1, 0, 1])))
 def test_weight_blocks_give_the_flat_results(case):
     mat, codes = case
     graded, classes, rows = _by_class(mat, codes)
