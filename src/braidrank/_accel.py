@@ -6,10 +6,12 @@ precision) arrays otherwise.  One rule makes that choice for the whole
 package: :func:`exact` keeps int64 operands when the caller's bound on
 every intermediate value is below 2**63, and promotes them all to object
 dtype when it is not, or when any operand already is object dtype.  The
-kernels modulo a prime p ask it with the bound p**2.  Gauss-Jordan
-elimination over Q asks it once per pivot step, with the exact bound of
-that step's update; from the first step whose bound fails the work is
-object dtype.  The int64 and object paths give the same values.  Every
+field is an argument of each kernel: ``p=None`` over Q, the prime p over
+F_p.  Gauss-Jordan elimination asks :func:`exact` once per pivot step,
+with the exact bound of that step's update over Q and with p**2 over F_p;
+from the first step whose bound fails the work is object dtype.  A
+product asks it once with max|a| * max|b| * k in either field and then
+reduces modulo p.  The int64 and object paths give the same values.  Every
 braid operator kept as index terms (a generator c_k, a monomial Delta_{i,j}
 on a weight class) is applied by the one gather kernel, :func:`gather_sum`.
 
@@ -52,29 +54,34 @@ def exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# rational Gauss-Jordan on primitive integer rows
+# Gauss-Jordan over Q and over F_p
 #
-# State: an integer matrix whose rows stand for rational rows up to a
-# positive scale.  After each elimination a row is divided by the gcd of
-# its entries, so entry sizes track the reduced-form values rather than
-# the exponentially growing Bareiss minors.  A pivot row is made positive
-# at its pivot and primitive, so its pivot entry is the row's denominator.
+# Over Q the state is an integer matrix whose rows stand for rational rows
+# up to a positive scale.  After each elimination a row is divided by the
+# gcd of its entries, so entry sizes track the reduced-form values rather
+# than the exponentially growing Bareiss minors.  A pivot row is made
+# positive at its pivot and primitive, so its pivot entry is the row's
+# denominator.  Over F_p the rows are residues in 0..p-1 and a pivot row is
+# scaled to pivot entry 1, so every normalisation and every update of a
+# pivot step is below p**2 in absolute value.
 # ---------------------------------------------------------------------------
 
 
-def rref_frac(num: np.ndarray):
-    """Rational rref of an integer matrix, each row kept as a primitive integer vector.
+def rref_frac(num: np.ndarray, p: int | None = None):
+    """Rref of an integer matrix over Q, or modulo the prime ``p``.
 
     Returns ``(work, pivots)`` describing the unique rref: row i of the
-    result is ``work[i] / work[i, pivots[i]]`` for i below the rank, where
-    that pivot entry is positive, and the rows below the rank are zero.
-    The input is not modified.  Each pivot step passes :func:`exact` the
-    bound of its update: int64 work turns into object dtype at the first
-    step that could leave int64 and continues from there; the same lines
-    run on both.
+    result is ``work[i] / work[i, pivots[i]]`` for i below the rank, and the
+    rows below the rank are zero.  Over Q each row is a primitive integer
+    vector whose pivot entry is positive; over F_p the rows are residues in
+    ``0..p-1`` with pivot entry 1.  The input is not modified.  Each pivot
+    step passes :func:`exact` the bound of its update, p**2 over F_p: int64
+    work turns into object dtype at the first step that could leave int64
+    and continues from there; the same lines run on both.
     """
     rows, cols = num.shape
-    work = num.astype(object) if num.dtype == object else np.array(num, dtype=np.int64, order="C")
+    # modulo p one bound serves every step, so the lane is fixed here
+    work = (num if p is None else exact(p * p, num)[0]).copy()
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -86,10 +93,13 @@ def rref_frac(num: np.ndarray):
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
-        if work[r, c] < 0:
-            work[r] = -work[r]
-        # np.gcd is nonnegative on int64 and object entries alike
-        work[r] //= np.gcd.reduce(work[r])
+        if p is not None:
+            work[r] = work[r] * pow(int(work[r, c]), -1, p) % p
+        else:
+            if work[r, c] < 0:
+                work[r] = -work[r]
+            # np.gcd is nonnegative on int64 and object entries alike
+            work[r] //= np.gcd.reduce(work[r])
         piv = int(work[r, c])  # a Python int: the bound below must not wrap in int64
         f = work[:, c].copy()
         rest = np.flatnonzero(f)
@@ -97,11 +107,14 @@ def rref_frac(num: np.ndarray):
         if rest.size:
             upd = work[rest]
             # |work * piv - f * pivot row| over the rows updated
-            bound = maxabs(upd) * piv + maxabs(f[rest]) * maxabs(work[r])
+            bound = p * p if p is not None else maxabs(upd) * piv + maxabs(f[rest]) * maxabs(work[r])
             work, upd = exact(bound, work, upd)
-            upd = upd * piv - np.outer(f[rest], work[r])
-            # a row that became zero has gcd 0 and stays zero
-            upd //= np.maximum(np.gcd.reduce(upd, axis=1), 1)[:, None]
+            upd = (upd * piv if piv != 1 else upd) - np.outer(f[rest], work[r])
+            if p is not None:
+                upd %= p
+            else:
+                # a row that became zero has gcd 0 and stays zero
+                upd //= np.maximum(np.gcd.reduce(upd, axis=1), 1)[:, None]
             work[rest] = upd
         pivots.append(c)
         r += 1
@@ -109,68 +122,23 @@ def rref_frac(num: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan modulo a prime
-#
-# Residues lie in 0..p-1, so every product and every update of one pivot
-# step is below p**2 in absolute value: exact(p * p, ...) picks the lane.
-# ---------------------------------------------------------------------------
-
-
-def rref_mod(num: np.ndarray, p: int):
-    """Reduced row echelon form of ``num`` modulo prime ``p`` (copy).
-
-    Returns ``(reduced, pivots)``; entries canonical in ``0..p-1``.
-    """
-    a = exact(p * p, num)[0].copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        f = a[:, c].copy()
-        f[r] = 0
-        a -= np.outer(f, a[r])
-        a %= p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-# ---------------------------------------------------------------------------
 # matrix products
+#
+# max|a| * max|b| * k bounds every partial sum of a product with inner
+# dimension k, over Q and over F_p alike; modulo p the product is reduced
+# once, at the end.
 # ---------------------------------------------------------------------------
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact ``a @ b mod p`` for canonical residue matrices."""
-    a, b = exact(p * p, a, b)
-    if a.dtype == object:
-        return np.dot(a, b) % p
-    # each product is below p**2 < 2**63; a margin of p keeps the running
-    # "partial product plus carry" of a chunk in int64
-    chunk = max(1, (2**63 - 1 - p) // max(1, (p - 1) * (p - 1)))
-    k = a.shape[1]
-    if k <= chunk:
-        return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, k, chunk):
-        out = (out + a[:, s : s + chunk] @ b[s : s + chunk]) % p
-    return out
-
-
-def matmul_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product."""
+def matmul_int(a: np.ndarray, b: np.ndarray, p: int | None = None) -> np.ndarray:
+    """Exact integer product, reduced modulo ``p`` when it is given."""
     a, b = exact(maxabs(a) * maxabs(b) * a.shape[1], a, b)
-    return a @ b
+    return a @ b if p is None else a @ b % p
+
+
+# the former F_p kernel names, kept because perfbench/tracer.py patches them too
+rref_mod = rref_frac
+matmul_mod = matmul_int
 
 
 def gather_sum(a: np.ndarray, src: np.ndarray, num: np.ndarray, p: int | None = None) -> np.ndarray:

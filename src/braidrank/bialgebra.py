@@ -39,7 +39,7 @@ import numpy as np
 from . import _accel, shuffle
 from .braiding import BraidedSpace, WeightClasses, check_degree
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
-from .exactlin import Matrix, Subspace, _place, kernel_basis, kernel_rows, matmul_num, vstack
+from .exactlin import Matrix, Subspace, _place, kernel_basis, kernel_rows, vstack
 
 __all__ = [
     "GradedQuotient",
@@ -72,13 +72,11 @@ class GradedSubspace:
 
     @property
     def subspace(self) -> Subspace:
-        """The flat canonical basis; like a flat elimination, int64 only below 2**62."""
+        """The flat canonical basis, stored by the 2**62 rule of :meth:`Matrix.build` like any matrix."""
         size, pairs = self.classes.label.size, list(zip(self.classes.cols, self.parts))
         pivots = np.concatenate([cols[list(part.pivots)] for cols, part in pairs])
         order = np.argsort(pivots)
         basis = vstack([_place(part.basis, cols, size) for cols, part in pairs]).take_rows(order)
-        if basis.num.dtype != object and _accel.maxabs(basis.num) >= 1 << 62:
-            basis = Matrix.build(basis.field, basis.num.astype(object), basis.den)
         return Subspace(size, basis, tuple(pivots[order].tolist()))
 
     def rows(self):
@@ -218,7 +216,7 @@ class GradedQuotient:
                 # the factor's axis is last; each step moves the other one there
                 if self._rels[d - 1].parts[c].dim:
                     (s, t), proj = out.shape[1:], self.projection(d, c).num.T
-                    out = matmul_num(field, out.reshape(m * s, t), proj).reshape(m, s, proj.shape[1])
+                    out = _accel.matmul_int(out.reshape(m * s, t), proj, field.p).reshape(m, s, proj.shape[1])
                 out = out.transpose(0, 2, 1)
             blocks.append(out.transpose(0, 2, 1).reshape(m, -1))
         return Matrix.build(field, np.hstack(blocks), rows.den)
@@ -291,7 +289,7 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
     for d in range(1, q.cutoff):
         # each b (x) e and e (x) b times pi_{d+1}^T of its class
         for basis, w, pos in _shifted(q.space.n, q._rels[d - 1], q.classes(d + 1)):
-            if matmul_num(q.space.field, basis.num, q.projection(d + 1, w).num[:, pos].T).any():
+            if _accel.matmul_int(basis.num, q.projection(d + 1, w).num[:, pos].T, q.space.field.p).any():
                 raise BialgebraInvariantError(f"ideal closure fails from degree {d} to {d + 1}")
     for d in range(2, q.cutoff + 1):
         r_d = q._rels[d - 1]

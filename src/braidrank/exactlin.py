@@ -302,7 +302,7 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         # over F_p both denominators are 1
-        return Matrix.build(self.field, matmul_num(self.field, self.num, other.num), self.den * other.den)
+        return Matrix.build(self.field, _accel.matmul_int(self.num, other.num, self.field.p), self.den * other.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index convention is big-endian (row-major)."""
@@ -324,11 +324,8 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """The unique reduced row echelon form and its pivot columns."""
-        if not self.field.is_rationals:
-            work, pivots = _accel.rref_mod(self.num, self.field.p)
-            return Matrix.build(self.field, work), tuple(pivots)
-        # row i is work[i] / work[i, pivots[i]]; the zero rows below the rank keep factor 1
-        work, pivots = _accel.rref_frac(self.num)
+        # row i is work[i] / work[i, pivots[i]] (1 over F_p); the zero rows below the rank keep factor 1
+        work, pivots = _accel.rref_frac(self.num, self.field.p)
         ranked = [int(work[i, c]) for i, c in enumerate(pivots)]
         den = lcm(*ranked)
         if den > 1:
@@ -341,11 +338,6 @@ class Matrix:
 
 
 _BUILD = object()
-
-
-def matmul_num(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The exact product of integer arrays a @ b, reduced modulo p over F_p."""
-    return _accel.matmul_int(a, b) if field.is_rationals else _accel.matmul_mod(a, b, field.p)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:

@@ -134,14 +134,34 @@ def test_rref_matches_reference_oracle_rationals(mat_data):
 MOD_P_FIELDS = [F5, GF(INT64_LANE_PRIME), GF(BIG_PRIME)]
 
 
+def check_rref_mod(num, p, ref, ref_piv):
+    """_accel.rref_frac modulo ``p`` in the object lane, and in the int64 lane where p**2 fits.
+
+    Both lanes give the same rows and pivots; every entry is a residue,
+    every pivot entry is 1 and the rows below the rank are zero.
+    """
+    work, pivots = _accel.rref_frac(num.astype(object), p)
+    assert pivots == ref_piv and work.tolist()[: len(pivots)] == ref[: len(pivots)]
+    assert all(0 <= x < p for x in work.flat) and all(work[i, c] == 1 for i, c in enumerate(pivots))
+    assert all(x == 0 for x in work[len(pivots) :].flat)
+    if p * p < 2**63:
+        lane_work, lane_pivots = _accel.rref_frac(num, p)
+        assert lane_work.dtype == np.int64
+        assert lane_pivots == pivots and lane_work.tolist() == work.tolist()
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(MOD_P_FIELDS).flatmap(lambda f: st.tuples(st.just(f), small_matrix(f))))
+# a row becomes zero partway through elimination; a pivot needs a row swap
+@example((F5, (Matrix.from_scalars(F5, [[1, 2], [2, 4]]), [[1, 2], [2, 4]])))
+@example((F5, (Matrix.from_scalars(F5, [[0, 3, 1], [1, 2, 3], [2, 4, 6]]), [[0, 3, 1], [1, 2, 3], [2, 4, 6]])))
 def test_rref_matches_reference_oracle_mod_p(case):
     field, (mat, data) = case
     red, pivots = rref(mat)
     ref, ref_piv = reference_rref(data, field)
     assert pivots == ref_piv
     assert red.scalar_rows() == ref
+    check_rref_mod(mat.num, field.p, ref, ref_piv)
 
 
 def reference_values(field, data, den):
