@@ -32,7 +32,6 @@ representatives e_c, c in N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,9 +57,9 @@ class GradedSubspace:
     """A subspace of V^(x)d as one :class:`Subspace` per class of ``classes``,
     each on its class's own words.
 
-    The one holder of the class layout: :attr:`subspace` and :meth:`rows`
-    give the flat canonical basis.  Class supports are disjoint, so the
-    class rows sorted by pivot are the flat rref.
+    :attr:`subspace` gives the flat canonical basis, and the cache writer
+    (:func:`braidrank.cli._row_bodies`) formats it one row at a time.  Class
+    supports are disjoint, so the class rows sorted by pivot are the flat rref.
     """
 
     classes: WeightClasses
@@ -78,17 +77,6 @@ class GradedSubspace:
         order = np.argsort(pivots)
         basis = vstack([_place(part.basis, cols, size) for cols, part in pairs]).take_rows(order)
         return Subspace(size, basis, tuple(pivots[order].tolist()))
-
-    def rows(self):
-        """Each row of the flat canonical basis, in pivot order, as a list of scalars."""
-        cols = [c.tolist() for c in self.classes.cols]
-        order = sorted((cols[k][p], k, r) for k, part in enumerate(self.parts) for r, p in enumerate(part.pivots))
-        for _, k, r in order:
-            row, basis = [0] * self.classes.label.size, self.parts[k].basis
-            for c, v in zip(cols[k], basis.num[r].tolist()):
-                if v:
-                    row[c] = Fraction(v, basis.den) if basis.field.is_rationals else v
-            yield row
 
     def __eq__(self, other):
         if not isinstance(other, GradedSubspace):
@@ -232,8 +220,9 @@ class GradedQuotient:
     def mixing_space(self, i: int, j: int) -> Subspace:
         """R_i (x) V^(x)j + V^(x)i (x) R_j inside V^(x)(i+j).
 
-        Only the tests use this explicit construction, as the reference for
-        :meth:`tensor_coords` and the quotient-side coideal re-check.
+        The engine never builds it: it is the tests' reference for
+        :meth:`tensor_coords` and the coideal re-check, and the mixing space
+        of :func:`braidrank.nichols_oracle.brute_force_primitives`.
         """
         n, field = self.space.n, self.space.field
         left = self.relation(i).basis.kron(Matrix.identity(field, n**j))
@@ -256,16 +245,15 @@ def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix, cols: n
 
     The rows live on the words ``cols`` of a class, which Delta maps to
     itself.  For a monomial braiding, rows @ Delta^T is the sum over the
-    terms of :func:`braidrank.shuffle._monomial_delta`, sliced to the
-    class, of rows[:, src] * num, and rows @ Delta uses each term's inverse
+    terms of the class's slice from :func:`braidrank.shuffle._monomial_delta`
+    of rows[:, src] * num, and rows @ Delta uses each term's inverse
     permutation; any other braiding multiplies by the class's block of
-    :func:`braidrank.shuffle.delta_component`.
+    :func:`braidrank.shuffle.delta_component`.  Shuffle caches both.
     """
     if not space.is_monomial:
         delta = shuffle.delta_component(space, i, j, cols)
         return rows @ (delta if transposed else delta.transpose())
-    src, num, den = shuffle._monomial_delta(space, i, j)
-    src, num = np.searchsorted(cols, src[:, cols]), num[:, cols]
+    src, num, den = shuffle._monomial_delta(space, i, j, cols)
     if transposed:
         src = np.argsort(src, axis=1)
         num = np.take_along_axis(num, src, axis=1)

@@ -214,6 +214,18 @@ def _subspace_doc(sub: Subspace, field) -> list:
     return [list(map(texts.__getitem__, row)) for row in sub.basis.num.tolist()]
 
 
+def _row_bodies(rel: GradedSubspace, field):
+    """The body of each row of the flat canonical basis of ``rel``, in pivot
+    order, made from its class part's numerators by :func:`_scalar_text`."""
+    pairs = [(cols.tolist(), part) for cols, part in zip(rel.classes.cols, rel.parts)]
+    texts = [_Memo(lambda v, text=_scalar_text(field, part.basis.den): _json_str(text(v))) for _, part in pairs]
+    for _, k, r in sorted((cols[p], k, r) for k, (cols, part) in enumerate(pairs) for r, p in enumerate(part.pivots)):
+        (cols, part), row = pairs[k], [_json_str("0")] * rel.classes.label.size
+        for c, text in zip(cols, map(texts[k].__getitem__, part.basis.num[r].tolist())):
+            row[c] = text
+        yield _ROW_SEP.join(row)
+
+
 def _rows_from_doc(field, classes, bodies) -> GradedSubspace:
     """R_d on the weight ``classes`` from the bodies of its rows, each checked
     by :class:`_DocReader`.  Each distinct entry text is parsed once, in one
@@ -543,9 +555,7 @@ class _StageCache:
         return stages[: len(spans)], q
 
     def record(self, q: GradedQuotient, rep: StageReport):
-        field = q.space.field
-        texts = _Memo(lambda v: _json_str(format_scalar(v, field)))
-        self.stages.append([(_ROW_SEP.join(map(texts.__getitem__, row)) for row in rel.rows()) for rel in q._rels])
+        self.stages.append([_row_bodies(rel, q.space.field) for rel in q._rels])
 
     def save(self, report: RankReport):
         """Rewrite the document when new stages were computed, so a shorter

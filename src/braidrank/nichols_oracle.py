@@ -6,8 +6,10 @@ the quantum symmetrizer kernels; a stabilized tower must match it degreewise
 spaces along a deliberately different code path: coproduct terms are
 evaluated permutation by permutation on individual basis tensors, using
 bubble-sort reduced words and index-tuple bookkeeping, never assembling the
-coproduct component matrices.  Oracles here may be exponentially slower than
-the engine; independence, not performance, is the point.
+coproduct component matrices; the images are reduced modulo the flat mixing
+space of :meth:`GradedQuotient.mixing_space`, which the engine never builds.
+Oracles here may be exponentially slower than the engine; independence, not
+performance, is the point.
 """
 
 from __future__ import annotations
@@ -103,34 +105,6 @@ def _index_to_tuple(idx, n, d):
     return tuple(reversed(digits))
 
 
-def _mixing_subspace(q: GradedQuotient, i: int, j: int) -> Subspace:
-    """R_i (x) V^(x)j + V^(x)i (x) R_j, rebuilt from plain spanning vectors."""
-    space = q.space
-    n = space.n
-    field = space.field
-    rows = []
-    ri, rj = q.relation(i), q.relation(j)
-    ri_rows = ri.basis.scalar_rows()
-    rj_rows = rj.basis.scalar_rows()
-    for base in ri_rows:
-        for t in range(n**j):
-            row = [0] * (n ** (i + j))
-            for col, v in enumerate(base):
-                if v != 0:
-                    row[col * n**j + t] = v
-            rows.append(row)
-    for t in range(n**i):
-        for base in rj_rows:
-            row = [0] * (n ** (i + j))
-            for col, v in enumerate(base):
-                if v != 0:
-                    row[t * n**j + col] = v
-            rows.append(row)
-    if not rows:
-        return Subspace.zero(field, n ** (i + j))
-    return Subspace.from_rows(Matrix.from_scalars(field, rows))
-
-
 def brute_force_primitives(space: BraidedSpace, q: GradedQuotient, d: int) -> Subspace:
     """Primitive representatives in degree d, recomputed term by term.
 
@@ -161,7 +135,7 @@ def brute_force_primitives(space: BraidedSpace, q: GradedQuotient, d: int) -> Su
                 inv[val] = pos
             sigmas.append(tuple(inv))
         words = [_bubble_word(s) for s in sigmas]
-        mix = _mixing_subspace(q, i, d - i)
+        mix = q.mixing_space(i, d - i)
         image_rows = []
         for t in range(size):
             acc: dict[tuple, object] = {}

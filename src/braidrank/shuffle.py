@@ -10,8 +10,10 @@ by the braided q-Pascal recursion on the last tensor slot (Rosso 1998):
 with d = i + j, Delta_{i,0} = Delta_{0,j} = Id, and c_{d-1} acting first.
 A monomial braiding (flip, diagonal) keeps Delta_{i,j} as C(d, i) integer
 terms in gather form, the rows of a sources array and a numerators array,
-over one denominator; any other braiding keeps a dense matrix per weight
-class, where Delta (x) Id is block diagonal over the last letter.
+over one denominator, and cuts each weight class's slice from them once;
+both are stored in the narrowest dtypes.  Any other braiding keeps a dense
+matrix per weight class, where Delta (x) Id is block diagonal over the
+last letter.
 
 The quantum symmetrizer S_d, the sum of the positive lifts of all of S_d,
 is the independent oracle for the tower.  It unrolls the factorization
@@ -81,19 +83,27 @@ def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix) -> Matrix:
     return braid_word(space, d, word, mat)
 
 
-def _monomial_delta(space: BraidedSpace, i: int, j: int):
+def _monomial_delta(space: BraidedSpace, i: int, j: int, words: np.ndarray | None = None):
     """Delta_{i,j} of a monomial braiding as ``(src, num, den)``, cached.
 
     Row t of the C(i+j, i) x n^(i+j) arrays is one term: index u gets
     num[t, u] / den times index src[t, u], and Delta_{i,j} is the sum of
-    the terms; den = c.den**(i*j).
+    the terms; den = c.den**(i*j).  Given ascending ``words`` that Delta
+    maps to itself, it is the slice there, sources given as places in
+    ``words``.  Both are stored in the narrowest dtypes (sources unsigned,
+    numerators signed within their maxabs, object kept): widen before use.
     """
-    out = space._delta_cache.get((i, j))
+    n, d = space.n, i + j
+    size = n**d if words is None else words.size
+    key = (i, j) if size == n**d else (i, j, words.tobytes())
+    out = space._delta_cache.get(key)
     if out is not None:
         return out
-    n, d = space.n, i + j
-    if i == 0 or j == 0:
-        out = np.arange(n**d)[None, :], np.ones((1, n**d), dtype=np.int64), 1
+    if size < n**d:
+        src, num, den = _monomial_delta(space, i, j)
+        src, num = np.searchsorted(words, src[:, words]), num[:, words]
+    elif i == 0 or j == 0:
+        src, num, den = np.arange(n**d)[None, :], np.ones((1, n**d), dtype=np.int64), 1
     else:
         # (x) Id on the last slot, then Id scaled by c.den**i or the chain
         # (which carries c.den**j): both parts come to den c.den**(i*j)
@@ -102,10 +112,11 @@ def _monomial_delta(space: BraidedSpace, i: int, j: int):
         srcs, nums = [], []
         parts = ((_monomial_delta(space, i, j - 1), ident), (_monomial_delta(space, i - 1, j), chain))
         for (src, num, _), (csrc, cnum) in parts:
-            srcs.append((src[:, :, None] * n + np.arange(n)).reshape(src.shape[0], -1)[:, csrc])
+            srcs.append((src[:, :, None].astype(np.int64) * n + np.arange(n)).reshape(src.shape[0], -1)[:, csrc])
             nums.append(_times(np.repeat(num, n, axis=1)[:, csrc], cnum, space.field))
-        out = np.vstack(srcs), np.vstack(nums), space.c.den ** (i * j)
-    space._delta_cache[(i, j)] = out
+        src, num, den = np.vstack(srcs), np.vstack(nums), space.c.den ** (i * j)
+    kind = object if num.dtype == object else np.min_scalar_type(-1 - maxabs(num))
+    out = space._delta_cache[key] = src.astype(np.min_scalar_type(size)), num.astype(kind, copy=False), den
     return out
 
 
@@ -126,17 +137,17 @@ def delta_component(space: BraidedSpace, i: int, j: int, words: np.ndarray | Non
 
     ``words`` are ascending words that Delta maps to itself (default all).
     Delta_{0,d} = Delta_{d,0} = Id and Delta_{1,1} = Id + c; the codomain
-    V^(x)i (x) V^(x)j is indexed by the shared big-endian convention.  A
-    braiding that is not monomial caches the block per (i, j, words).
+    V^(x)i (x) V^(x)j is indexed by the shared big-endian convention.  Both
+    representations are cached per (i, j, words): a monomial braiding's
+    slice of terms (:func:`_monomial_delta`), any other braiding's block.
     """
     if i < 0 or j < 0:
         raise DegreeCap("degrees must be nonnegative")
     d = i + j
     check_degree(d)
-    words = np.arange(space.n**d) if words is None else words
     if space.is_monomial:
-        src, num, den = _monomial_delta(space, i, j)
-        return _assemble_monomial_sum(space, np.searchsorted(words, src[:, words]), num[:, words], den)
+        return _assemble_monomial_sum(space, *_monomial_delta(space, i, j, words))
+    words = np.arange(space.n**d) if words is None else words
     key = (i, j, words.tobytes())
     out = space._delta_cache.get(key)
     if out is None:

@@ -240,6 +240,22 @@ def test_gather_application_matches_dense_product():
             assert _apply_delta_rows(space, i, j, rows, words) == rows @ delta.transpose(), (space, i, j)
             assert _apply_delta_rows(space, i, j, rows, words, transposed=True) == rows @ delta, (space, i, j)
 
+    # each weight class's cached slice of the terms, in both directions,
+    # against the class block of the flat Delta
+    def check_classes(space, i, j, delta):
+        for cols in space.classes(i + j).cols:
+            block = delta.take_rows(cols).take_columns(cols)
+            rows = Matrix.from_scalars(
+                space.field,
+                [[(r * 7 + c * 3 + 1) % 5 - 2 for c in range(cols.size)] for r in range(3)],
+            )
+            assert delta_component(space, i, j, cols) == block, (space, i, j, cols)
+            assert _apply_delta_rows(space, i, j, rows, cols) == rows @ block.transpose(), (space, i, j, cols)
+            assert _apply_delta_rows(space, i, j, rows, cols, transposed=True) == rows @ block, (space, i, j, cols)
+
+    for i in range(1, 4):
+        check_classes(cases[0], i, 4 - i, delta_component(cases[0], i, 4 - i))
+
     # at d = 8 these splits of the A2 pair have object-dtype terms; int64
     # row blocks whose bound is 0 (no rows, all zeros) must still promote
     space = cases[2]
@@ -256,6 +272,8 @@ def test_gather_application_matches_dense_product():
         for rows in blocks:
             assert _apply_delta_rows(space, i, j, rows, words) == rows @ delta.transpose(), (i, j, rows.rows)
             assert _apply_delta_rows(space, i, j, rows, words, transposed=True) == rows @ delta, (i, j, rows.rows)
+        check_classes(space, i, j, delta)
+        assert all(shuffle._monomial_delta(space, i, j, cols)[1].dtype == object for cols in space.classes(8).cols)
 
 
 def test_graded_dense_delta_stays_on_the_class():

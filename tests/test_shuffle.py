@@ -6,6 +6,7 @@ import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from braidrank import (
@@ -20,7 +21,7 @@ from braidrank import (
     symmetrizer,
     unshuffles,
 )
-from braidrank.braiding import braid_word, inversions, invert_perm, lexmin_reduced_word
+from braidrank.braiding import apply_generator, braid_word, inversions, invert_perm, lexmin_reduced_word
 from braidrank.shuffle import block_transposition
 
 from conftest import conjugated_space, diagonal_space, hecke_space
@@ -141,6 +142,29 @@ def test_recursion_and_factorization_match_definitions():
             for w in permutations(range(d)):
                 total = total + braid_word(space, d, lexmin_reduced_word(w))
             assert symmetrizer(space, d) == total, (space, d)
+    # the Delta terms are stored in the narrowest dtypes: numerators at the
+    # edges of int8, int16 and int32 (+128 does not fit int8)
+    for q in [127, 128, -128, -129, 32767, 32768, 2**31 - 1, 2**31]:
+        space = diagonal_space(RATIONALS, [[q, 1], [-1, q]])
+        for d in range(1, 5):
+            for i in range(d + 1):
+                total = Matrix.zeros(RATIONALS, 2**d, 2**d)
+                for w, _ in unshuffles(i, d - i):
+                    total = total + braid_word(space, d, lexmin_reduced_word(invert_perm(w)))
+                assert delta_component(space, i, d - i) == total, (q, i, d)
+    # flip n=5: degree-6 sources fit uint16, but the class of three 3s and
+    # four 4s in degree 7 has words above 65535; each lift of the (1, 6)
+    # split acts on the identity on that class's 35 words
+    flip5 = make_flip(5, RATIONALS)
+    words = np.array(sorted(sum(5 ** (6 - t) * (3 if t in threes else 4) for t in range(7)) for threes in combinations(range(7), 3)))
+    assert words.size == 35 and words.max() > 65535
+    total = Matrix.zeros(RATIONALS, words.size, words.size)
+    for w, _ in unshuffles(1, 6):
+        lift = Matrix.identity(RATIONALS, words.size)
+        for k in reversed(lexmin_reduced_word(invert_perm(w))):
+            lift = apply_generator(flip5, 7, k, words, lift)
+        total = total + lift
+    assert delta_component(flip5, 1, 6, words) == total
     with pytest.raises(DegreeCap):
         delta_component(spaces[0], -1, 2)
     with pytest.raises(DegreeCap):
