@@ -117,16 +117,6 @@ def _split(space: BraidedSpace, graded: bool, gens: list) -> tuple[bool, list]:
             return g, out
 
 
-def _span(rel: Subspace, rows: list[Matrix]) -> Subspace:
-    """``rel`` plus the span of ``rows``; the stack is eliminated with its rows
-    sorted by leading column, which keeps the fill-in small."""
-    if rel.dim == rel.ambient_dim or not any(r.rows for r in rows):
-        return rel
-    stack = vstack([rel.basis, *rows])
-    lead = (stack.num != 0).argmax(axis=1)
-    return Subspace.from_rows(stack.take_rows(np.argsort(lead, kind="stable")))
-
-
 def _shifted(n: int, rel: GradedSubspace, dst: WeightClasses):
     """For each nonzero class basis b of R_d and each letter e: (b, class w of
     ``dst``, the classes of V^(x)(d+1), places in w) of b (x) e, then of e (x) b."""
@@ -345,13 +335,13 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
     ]
     for d, rows in gens:
         rel = rels[d - 1]
-        rels[d - 1] = GradedSubspace(rel.classes, tuple(_span(p, [r]) for p, r in zip(rel.parts, rows)))
+        rels[d - 1] = GradedSubspace(rel.classes, tuple(p.sum([r]) for p, r in zip(rel.parts, rows)))
     for d in range(1, q.cutoff):
         dst = rels[d].classes
         pieces = [[] for _ in dst.cols]
         for basis, w, pos in _shifted(n, rels[d - 1], dst):
             pieces[w].append(_place(basis, pos, dst.cols[w].size))
-        rels[d] = GradedSubspace(dst, tuple(_span(p, rows) for p, rows in zip(rels[d].parts, pieces)))
+        rels[d] = GradedSubspace(dst, tuple(p.sum(rows) for p, rows in zip(rels[d].parts, pieces)))
     out = GradedQuotient(space, q.cutoff, rels, _validated=True)
     _validate_quotient(out, require_coideal=False)
     return out

@@ -280,11 +280,12 @@ def braid_generator(space: BraidedSpace, d: int, i: int) -> Matrix:
     return left.kron(space.c).kron(right)
 
 
-def braid_word(space: BraidedSpace, d: int, word: Sequence[int], mat: Matrix | None = None) -> Matrix:
-    """Ordered product of braid generators times ``mat`` (default Id), leftmost letter applied last."""
+def braid_word(space: BraidedSpace, d: int, word: Sequence[int], mat: Matrix | None = None, words=None) -> Matrix:
+    """Ordered product of braid generators times ``mat`` (default Id), leftmost letter applied last, on
+    ``words``: ascending words that each generator maps to itself (default all), the rows of ``mat``."""
     check_degree(d)
-    out = Matrix.identity(space.field, space.n**d) if mat is None else mat
-    words = np.arange(space.n**d)
+    words = np.arange(space.n**d) if words is None else words
+    out = Matrix.identity(space.field, words.size) if mat is None else mat
     for k in reversed(list(word)):
         out = apply_generator(space, d, k, words, out)
     return out

@@ -7,7 +7,7 @@ machine-readable document with --json); diagnostics go to stderr.
 
 Exit codes: 0 ok, 1 braiding validation failure, 2 parse error or an
 unusable --cache / --report path, 3 tower not stabilized within max_iter
-(a report is still written).
+(a report is still written), 4 out of memory; :class:`_Commands` maps 2 and 4.
 
 The optional cache directory stores per-stage relation bases keyed by a
 stable hash of (field, braiding entries, cutoff).  It is a thin layer over
@@ -29,6 +29,7 @@ writer gives its value ("-2/2" and "-0" are misses).
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import itertools
 import json
@@ -311,34 +312,31 @@ def _atomic_write(path: str, chunks):
 
 
 def _claim_output(path: str):
-    """Exit 2 before any computation when writing ``path`` would fail.
+    """Raise the OSError of writing ``path`` before any computation.
 
     The probe creates the same ``.tmp`` file as :func:`_atomic_write` and,
     when ``path`` names a directory, tries the same rename, so a missing
     directory or a directory path fails with the message of the final write.
     """
     tmp = path + ".tmp"
+    open(tmp, "w").close()
     try:
-        open(tmp, "w").close()
-        try:
-            if os.path.isdir(path):
-                os.replace(tmp, path)
-        finally:
-            os.remove(tmp)
-    except OSError as exc:
-        _fail(2, f"cannot write output: {exc}")
+        if os.path.isdir(path):
+            os.replace(tmp, path)
+    finally:
+        os.remove(tmp)
 
 
 def _stage_from_doc(k, report, n: int, cutoff: int, last: int) -> StageReport:
     """Stage ``k`` of a document whose last stage is ``last``: its series (1 in
-    degree 0, at most n**d in degree d) and dimensions have the cutoff's
+    degree 0, in 0..n**d in degree d) and dimensions have the cutoff's
     lengths, and only the last stage is iso."""
     hilbert, dims, iso = report["hilbert"], report["new_relation_dims"], report["iso"]
     if not (
         _int_list(hilbert)
         and len(hilbert) == cutoff + 1
         and hilbert[0] == 1
-        and all(h <= n**d for d, h in enumerate(hilbert))
+        and all(0 <= h <= n**d for d, h in enumerate(hilbert))
         and _int_list(dims)
         and len(dims) == cutoff - 1
         and isinstance(iso, bool)
@@ -579,10 +577,7 @@ def _run_tower_cached(
     """Tower run with optional cache: exact hits are served, partials resumed."""
     if not cache_dir:
         return tower.run(space, spec.cutoff, max_iter)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-    except OSError as exc:
-        _fail(2, f"cannot write output: {exc}")
+    os.makedirs(cache_dir, exist_ok=True)
     with contextlib.closing(_StageCache(os.path.join(cache_dir, _cache_key(spec, space) + ".json"))) as cache:
         report = tower.run(
             space,
@@ -591,10 +586,7 @@ def _run_tower_cached(
             resume=cache.resume_point(space, spec.cutoff, max_iter),
             on_stage=cache.record,
         )
-        try:
-            cache.save(report)
-        except OSError as exc:
-            _fail(2, f"cannot write output: {exc}")
+        cache.save(report)
     return report
 
 
@@ -669,13 +661,22 @@ def _common(fn):
 
 
 class _Commands(click.Group):
-    """Every command: a job that runs out of memory exits 4 with one line."""
+    """Every command, with the one table from the errors a job raises to its
+    exit code and stderr line.  A closed stdout pipe (EPIPE) is left to
+    click, which exits 1 without a message."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except ParseError as exc:
+            _fail(2, f"parse error: {exc}")
         except MemoryError as exc:
             _fail(4, f"out of memory: {exc}")
+        except OSError as exc:
+            # a --cache or --report write: reads raise ParseError or are misses
+            if exc.errno == errno.EPIPE:
+                raise
+            _fail(2, f"cannot write output: {exc}")
 
 
 @click.group(cls=_Commands)
@@ -689,19 +690,10 @@ def _fail(code: int, message: str) -> "NoReturn":
     sys.exit(code)
 
 
-def _load_job(input_path, cutoff, max_iter, oracle=None, check_options=None):
-    """The job spec and its validated braided space, or exit 2 / exit 1.
-
-    ``check_options(spec)`` validates command options against the spec
-    before the braiding is built; it raises :class:`ParseError`.
-    """
+def _build_space(spec: JobSpec) -> BraidedSpace:
+    """The job's validated braided space, or exit 1."""
     try:
-        spec = JobSpec(_read_document(input_path), cutoff, max_iter, oracle)
-        if check_options is not None:
-            check_options(spec)
-        return spec, spec.build_space()
-    except ParseError as exc:
-        _fail(2, f"parse error: {exc}")
+        return spec.build_space()
     except BraidrankError as exc:
         _fail(1, f"invalid braiding: {exc}")
 
@@ -715,8 +707,6 @@ def check(input_path, as_json):
         doc = _read_document(input_path)
         doc.setdefault("degree_cutoff", 1)
         space = JobSpec(doc).build_space()
-    except ParseError as exc:
-        _fail(2, f"parse error: {exc}")
     except BraidrankError as exc:
         witness = list(getattr(exc, "witness", ())) or None
         if as_json:
@@ -737,7 +727,8 @@ def check(input_path, as_json):
 @click.option("--report", "report_path", default=None, help="also write the JSON report to a file")
 def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
     """Run the quotient tower and report the rank visible below the cutoff."""
-    spec, space = _load_job(input_path, cutoff, max_iter, oracle)
+    spec = JobSpec(_read_document(input_path), cutoff, max_iter, oracle)
+    space = _build_space(spec)
     if report_path:
         _claim_output(report_path)
     rep = _run_tower_cached(spec, space, cache_dir, spec.max_iter)
@@ -746,10 +737,7 @@ def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
     doc = rank_report_doc(rep)
     text = dumps_report(doc)
     if report_path:
-        try:
-            _atomic_write(report_path, (text,))
-        except OSError as exc:
-            _fail(2, f"cannot write output: {exc}")
+        _atomic_write(report_path, (text,))
     if as_json:
         click.echo(text, nl=False)
     else:
@@ -762,7 +750,8 @@ def rank(input_path, cutoff, max_iter, cache_dir, as_json, oracle, report_path):
 @_common
 def nichols(input_path, cutoff, max_iter, cache_dir, as_json):
     """Compute the symmetrizer-oracle truncation and compare with the tower."""
-    spec, space = _load_job(input_path, cutoff, max_iter)
+    spec = JobSpec(_read_document(input_path), cutoff, max_iter)
+    space = _build_space(spec)
     # the tower first: it checks the --cache path before any computation
     rep = _run_tower_cached(spec, space, cache_dir, spec.max_iter)
     oracle_q = nichols_truncation(space, spec.cutoff)
@@ -792,14 +781,13 @@ def nichols(input_path, cutoff, max_iter, cache_dir, as_json):
 @click.option("--degree", type=int, required=True, help="tensor degree to report")
 def primitives_cmd(input_path, cutoff, max_iter, cache_dir, as_json, stage, degree):
     """Print a basis of the primitive space at a given stage and degree."""
-
-    def check_options(spec):
-        if stage < 0 or stage > spec.max_iter:
-            raise ParseError(f"stage must lie in 0..max_iter={spec.max_iter}")
-        if not 1 <= degree <= spec.cutoff:
-            raise ParseError(f"degree must lie in 1..{spec.cutoff}")
-
-    spec, space = _load_job(input_path, cutoff, max_iter, check_options=check_options)
+    spec = JobSpec(_read_document(input_path), cutoff, max_iter)
+    # options first: a bad one exits 2 before the braid equation is checked
+    if stage < 0 or stage > spec.max_iter:
+        raise ParseError(f"stage must lie in 0..max_iter={spec.max_iter}")
+    if not 1 <= degree <= spec.cutoff:
+        raise ParseError(f"degree must lie in 1..{spec.cutoff}")
+    space = _build_space(spec)
     # the tower stops early once stabilized, leaving the quotient unchanged
     q = _run_tower_cached(spec, space, cache_dir, stage).final
     report = primitives(q, degree)

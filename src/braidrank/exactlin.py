@@ -426,13 +426,16 @@ class Subspace:
     def contains_rows(self, mat: Matrix) -> bool:
         return self.reduce_rows(mat).is_zero()
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        if other.dim == 0:
+    def sum(self, rows: Sequence[Matrix]) -> "Subspace":
+        """This subspace plus the span of the rows of the matrices ``rows``;
+        itself when they add no row or it is the full space.  The stack is
+        eliminated with its rows sorted by leading column, which keeps the
+        fill-in small."""
+        if self.dim == self.ambient_dim or not any(r.rows for r in rows):
             return self
-        if self.dim == 0:
-            return other
-        return Subspace.from_rows(vstack([self.basis, other.basis]))
+        stack = vstack([self.basis, *rows])
+        lead = (stack.num != 0).argmax(axis=1)
+        return Subspace.from_rows(stack.take_rows(np.argsort(lead, kind="stable")))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -78,9 +78,9 @@ def _monomial_lift(space: BraidedSpace, d: int, word):
     return src, num
 
 
-def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix) -> Matrix:
-    """Dense lift of a braid word times ``mat``: no caller here, the name the benchmark tracer counts."""
-    return braid_word(space, d, word, mat)
+def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix, words: np.ndarray) -> Matrix:
+    """Dense lift of a braid word on ``words`` times ``mat``: the Delta chain of a non-monomial braiding."""
+    return braid_word(space, d, word, mat, words)
 
 
 def _monomial_delta(space: BraidedSpace, i: int, j: int, words: np.ndarray | None = None):
@@ -153,9 +153,7 @@ def delta_component(space: BraidedSpace, i: int, j: int, words: np.ndarray | Non
     if out is None:
         out = Matrix.identity(space.field, words.size)
         if i and j:
-            moved = _delta_id(space, i - 1, j, words)
-            for k in range(d - 1, i - 1, -1):
-                moved = apply_generator(space, d, k, words, moved)
+            moved = _dense_lift(space, d, range(i, d), _delta_id(space, i - 1, j, words), words)
             out = _delta_id(space, i, j - 1, words) + moved
         space._delta_cache[key] = out
     return out

@@ -177,13 +177,14 @@ ACTION_SPACES = [
 
 @st.composite
 def action_case(draw):
-    """A space, degree d, generator k, a word set (all words or one class) and a matrix on those rows.
+    """A space, degree d, a braid word of up to three generators, a word set
+    (all words or one class) and a matrix on those rows.
 
     Rational entries reach 6 * 10**9, or 2**62 where the products need object dtype.
     """
     space = draw(st.sampled_from(ACTION_SPACES))
     d = draw(st.integers(2, 4))
-    k = draw(st.integers(1, d - 1))
+    word = draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=3))
     words = draw(st.sampled_from([np.arange(space.n**d), *space.classes(d).cols]))
     if space.field.is_rationals:
         bound = draw(st.sampled_from([3, 3 * 2_000_000_000, 2**62]))
@@ -193,16 +194,20 @@ def action_case(draw):
     rows, cols = len(words), draw(st.integers(0, 3))
     num = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=object)
     den = draw(st.sampled_from([1, 2, 6])) if space.field.is_rationals else 1
-    return space, d, k, words, Matrix.build(space.field, num.reshape(rows, cols), den)
+    return space, d, word, words, Matrix.build(space.field, num.reshape(rows, cols), den)
 
 
 @settings(max_examples=200, deadline=None)
 @given(action_case())
 def test_generator_action_is_the_kronecker_product(case):
-    # on all words, or on a class's rows with the class's block of c_k
-    space, d, k, words, mat = case
+    # on all words, or on a class's rows with the class's block of c_k;
+    # a braid word on the word set is the block of its flat lift
+    space, d, word, words, mat = case
+    k = word[0]
     block = braid_generator(space, d, k).take_rows(words).take_columns(words)
     assert apply_generator(space, d, k, words, mat) == block @ mat
+    block = braid_word(space, d, word).take_rows(words).take_columns(words)
+    assert braid_word(space, d, word, mat, words) == block @ mat
 
 
 def test_braid_word_matsumoto():

@@ -15,6 +15,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -407,6 +408,68 @@ def test_malformed_scalar_grids_exit_2(command, braiding):
     assert len(lines) == 1 and lines[0].startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "args, job, line",
+    [
+        (["check", "--input", os.path.join(os.devnull, "job.json")], {}, None),
+        (["rank"], "[]", "job document must be a JSON object"),
+        (["rank"], {"field": "rationals"}, 'field must be {"kind": "rationals"} or {"kind": "prime", "p": ...}'),
+        (["rank"], {"field": {"kind": "prime", "p": "7"}}, "prime field needs an integer p"),
+        (["rank"], {"field": {"kind": "reals"}}, "unknown field kind 'reals'"),
+        (["rank"], {"braiding": {"kind": "diagonal", "q": "x"}}, "q must be a list of lists of scalar strings"),
+        (["rank"], {"braiding": {"q": [["1"]]}}, 'braiding must have a "kind"'),
+        (["rank"], {"degree_cutoff": None}, "degree_cutoff missing (or pass --cutoff)"),
+        (["rank"], {"oracle": "yes"}, "oracle must be a boolean"),
+        (["rank"], {"braiding": {"kind": "diagonal", "q": [["1"]]}}, "q must be 2x2"),
+        (["rank"], {"braiding": {"kind": "matrix", "entries": [["1", "0"], ["0", "1"]]}}, "entries must be 4x4"),
+        (["rank"], {"braiding": {"kind": "hecke"}}, "unknown braiding kind 'hecke'"),
+        (["check"], {"braiding": {"kind": "hecke"}}, "unknown braiding kind 'hecke'"),
+        (["primitives", "--degree", "0"], {}, "degree must lie in 1..5"),
+    ],
+    ids=[
+        "unreadable_input",
+        "array_document",
+        "field_not_an_object",
+        "prime_p_a_string",
+        "unknown_field_kind",
+        "q_a_string",
+        "braiding_without_kind",
+        "cutoff_missing",
+        "oracle_a_string",
+        "q_wrong_shape",
+        "entries_wrong_shape",
+        "unknown_braiding_kind_rank",
+        "unknown_braiding_kind_check",
+        "degree_zero",
+    ],
+)
+def test_parse_errors_exit_2_with_one_line(args, job, line):
+    # each ParseError of the job or its options: exit 2, no report, one line.
+    # ``job`` is a text, or changes to FLIP2 where None drops the key
+    if isinstance(job, str):
+        res = invoke([*args, "--json"], text=job)
+    else:
+        res = invoke([*args, "--json"], doc={k: v for k, v in {**FLIP2, **job}.items() if v is not None})
+    if line is None:
+        line = f"cannot read input: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {args[-1]!r}"
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.splitlines() == [f"parse error: {line}"]
+
+
+def test_closed_stdout_pipe_exits_1_without_a_message(monkeypatch):
+    # a reader that closed the pipe is left to click: exit 1, nothing on stderr
+    echo = click.echo
+
+    def echo_to_closed_pipe(message=None, *args, err=False, **kwargs):
+        if not err:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        echo(message, *args, err=err, **kwargs)
+
+    monkeypatch.setattr(click, "echo", echo_to_closed_pipe)
+    res = invoke(["rank", "--json"], doc=FLIP2)
+    assert res.exit_code == 1 and res.stderr == ""
+
+
 def _drop_hilbert(doc):
     del doc["report"]["stages"][0]["hilbert"]
 
@@ -451,6 +514,12 @@ def _tampered_earlier_hilbert(doc):
 
 def _earlier_hilbert_not_1_in_degree_0(doc):
     doc["report"]["stages"][0]["hilbert"][0] = 2
+
+
+def _negative_earlier_hilbert(doc):
+    # -1 in degree 2, with the n**2 - (-1) = 5 rows that value asks for
+    doc["report"]["stages"][0]["hilbert"][2] = -1
+    doc["stage_relations"][0]["2"] += [["0"] * 4] * 4
 
 
 # stage 0 is not the stage the run resumes from: its scalars are never
@@ -642,6 +711,7 @@ def _breaks_only_the_coideal(doc):
         _deeply_nested,
         _tampered_earlier_hilbert,
         _earlier_hilbert_not_1_in_degree_0,
+        _negative_earlier_hilbert,
         _entries_not_strings,
         _rows_not_a_list,
         _row_not_a_list,

@@ -356,6 +356,36 @@ def test_intersect_mod_p_is_contained_in_both(pair):
         assert a.contains_rows(meet.basis) and b.contains_rows(meet.basis)
 
 
+@st.composite
+def sum_case(draw):
+    """A subspace over Q, GF(7) or GF(2**61 - 1), sometimes zero or full, and
+    up to three matrices on its ambient space, some without rows, with entries
+    on both sides of 2**62."""
+    field = draw(st.sampled_from([RATIONALS, RATIONALS, F7, BIG_PRIME_FIELD]))
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(small_entries, small_entries, HUGE_ENTRIES, NEAR_INT64_STORE)
+
+    def rows(most):
+        data = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=most))
+        return Matrix.build(field, np.array(data, dtype=object).reshape(len(data), n))
+
+    sub = Subspace.full(field, n) if draw(st.integers(0, 4)) == 0 else Subspace.from_rows(rows(4))
+    return sub, [rows(3) for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_case())
+def test_subspace_sum_is_the_span_of_the_stack(case):
+    sub, mats = case
+    assert sub.sum(mats) == Subspace.from_rows(vstack([sub.basis, *mats]))
+    # nothing to add, or nothing left to add to: the subspace itself
+    n = sub.ambient_dim
+    assert sub.sum([]) is sub
+    assert sub.sum([Matrix.zeros(sub.field, 0, n)] * 2) is sub
+    full = Subspace.full(sub.field, n)
+    assert full.sum(mats) is full
+
+
 def test_rref_huge_entries_matches_reference():
     # forces the arbitrary-precision path from the first elimination step
     big = 10**25
