@@ -16,8 +16,11 @@ Matrices
 Subspaces
     A :class:`Subspace` is the unique reduced-row-echelon basis of a subspace
     of a coordinate space together with its pivot columns; subspace equality
-    is equality of rref bases.  An elimination runs on the matrix it is given:
-    a split by weight class is the caller's, made in the data.
+    is equality of rref bases.  ``Matrix.rref``, ``Subspace.from_rows``,
+    ``Subspace.sum``, :func:`kernel_basis` and :func:`intersect` each run one
+    ``_accel.rref_frac`` on the matrix they are given (a split by weight class
+    is the caller's, made in the data) and build their result once from the
+    rank rows over one denominator from :func:`_rank_rows`, dtype by ``exact``.
 
 Everything here is immutable after construction and safe to share across
 threads; operations are pure functions.  Dense only, no floating point, no
@@ -214,19 +217,14 @@ class Matrix:
     @staticmethod
     def from_scalars(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
         """Build from nested scalars (ints, Fractions, or text forms)."""
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        num = np.empty((r, c), dtype=object)
+        c = len(rows[0]) if len(rows) else 0
         vals = [[coerce_scalar(x, field) for x in row] for row in rows]
-        for row in vals:
-            if len(row) != c:
-                raise DimensionMismatch("ragged rows")
+        if any(len(row) != c for row in vals):
+            raise DimensionMismatch("ragged rows")
         # a residue is an int, whose denominator is 1
         den = lcm(*(x.denominator for row in vals for x in row))
-        for i, row in enumerate(vals):
-            for j, x in enumerate(row):
-                num[i, j] = x.numerator * (den // x.denominator)
-        return Matrix.build(field, num, den)
+        num = [[x.numerator * (den // x.denominator) for x in row] for row in vals]
+        return Matrix.build(field, np.array(num, dtype=object).reshape(len(rows), c), den)
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -313,31 +311,39 @@ class Matrix:
         return Matrix.build(self.field, self.num.T, self.den)
 
     def take_columns(self, idx: Sequence[int]) -> "Matrix":
-        sel = self.num[:, list(idx)] if len(idx) else np.zeros((self.rows, 0), dtype=self.num.dtype)
-        return Matrix.build(self.field, sel, self.den)
+        return Matrix.build(self.field, self.num[:, list(idx)], self.den)
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        sel = self.num[list(idx), :] if len(idx) else np.zeros((0, self.cols), dtype=self.num.dtype)
-        return Matrix.build(self.field, sel, self.den)
+        return Matrix.build(self.field, self.num[list(idx), :], self.den)
 
     # -- reduction ---------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """The unique reduced row echelon form and its pivot columns."""
-        # row i is work[i] / work[i, pivots[i]] (1 over F_p); the zero rows below the rank keep factor 1
+        """The unique reduced row echelon form and its pivot columns: the rank rows, then zero rows."""
         work, pivots = _accel.rref_frac(self.num, self.field.p)
-        ranked = [int(work[i, c]) for i, c in enumerate(pivots)]
-        den = lcm(*ranked)
-        if den > 1:
-            factors = np.array([den // d for d in ranked] + [1] * (self.rows - len(ranked)), dtype=object)
-            work = work.astype(object) * factors[:, None]
-        return Matrix.build(self.field, work, den), tuple(pivots)
+        rows, den = _rank_rows(work, pivots)
+        zero = np.zeros((self.rows - len(pivots), self.cols), dtype=rows.dtype)
+        return Matrix.build(self.field, np.vstack([rows, zero]), den), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_accel.rref_frac(self.num, self.field.p)[1])
 
 
 _BUILD = object()
+
+
+def _rank_rows(work: np.ndarray, pivots) -> tuple[np.ndarray, int]:
+    """The rank rows of ``_accel.rref_frac``'s ``(work, pivots)`` over one denominator,
+    the lcm of the pivot entries p_i (1 over F_p): row i times lcm / p_i, in the dtype
+    :func:`_accel.exact` picks.  Canonical as it is: the rows are primitive and the
+    gcd over i of lcm / p_i is 1."""
+    rows = work[: len(pivots)]
+    ranked = [int(rows[i, c]) for i, c in enumerate(pivots)]
+    den = lcm(*ranked)
+    if den > 1:
+        (rows,) = _accel.exact(_accel.maxabs(rows) * (den // min(ranked)), rows)
+        rows = rows * np.array([den // d for d in ranked], dtype=rows.dtype)[:, None]
+    return rows, den
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -364,11 +370,6 @@ def _place(mat: Matrix, cols: np.ndarray, width: int) -> Matrix:
     num = np.zeros((mat.rows, width), dtype=mat.num.dtype)
     num[:, cols] = mat.num
     return Matrix.build(mat.field, num, mat.den)
-
-
-def hstack(mats: Sequence[Matrix]) -> Matrix:
-    ts = [m.transpose() for m in mats]
-    return vstack(ts).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,8 @@ class Subspace:
             return self
         stack = vstack([self.basis, *rows])
         lead = (stack.num != 0).argmax(axis=1)
-        return Subspace.from_rows(stack.take_rows(np.argsort(lead, kind="stable")))
+        work, pivots = _accel.rref_frac(stack.num[np.argsort(lead, kind="stable")], self.field.p)
+        return Subspace(self.ambient_dim, Matrix.build(self.field, *_rank_rows(work, pivots)), tuple(pivots))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -461,12 +463,14 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 
 def kernel_basis(mat: Matrix) -> Subspace:
     """The subspace {x : M x = 0}, of dimension cols - rank, from one rref, that of
-    M with its columns reversed: read back with rows and columns reversed, its
-    kernel rows are the rref of ker M, each 1 at its own free column and 0 at the others."""
+    M with its columns reversed: with its columns put back, its rank rows give
+    kernel rows that are the rref of ker M, each 1 at its own free column and 0 at the others."""
     n = mat.cols
-    basis, pivots = _rref_basis(Matrix(mat.field, mat.num[:, ::-1], mat.den, _token=_BUILD))
-    rows, free = kernel_rows(basis, pivots), np.delete(np.arange(n), pivots)
-    return Subspace(n, Matrix.build(mat.field, rows.num[::-1, ::-1], rows.den), tuple((n - 1 - free[::-1]).tolist()))
+    work, pivots = _accel.rref_frac(mat.num[:, ::-1], mat.field.p)
+    rows, den = _rank_rows(work, pivots)
+    back = [n - 1 - c for c in pivots]
+    basis = kernel_rows(Matrix(mat.field, rows[:, ::-1], den, _token=_BUILD), back)
+    return Subspace(n, basis, tuple(np.delete(np.arange(n), back).tolist()))
 
 
 def kernel_rows(basis: Matrix, pivots) -> Matrix:
@@ -482,33 +486,27 @@ def kernel_rows(basis: Matrix, pivots) -> Matrix:
 
 def _rref_basis(mat: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """The nonzero rows of rref(mat) and its pivots."""
-    red, pivots = mat.rref()
-    return red.take_rows(range(len(pivots))), pivots
+    work, pivots = _accel.rref_frac(mat.num, mat.field.p)
+    return Matrix.build(mat.field, *_rank_rows(work, pivots)), tuple(pivots)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus double-block elimination."""
+    """Intersection via the Zassenhaus double-block elimination of the
+    numerators (a row's scale does not change its span)."""
     a._check_ambient(b)
     n = a.ambient_dim
-    top = hstack([a.basis, a.basis])
-    bot = hstack([b.basis, Matrix.zeros(b.field, b.dim, n)])
-    red, pivots = vstack([top, bot]).rref()
-    # the rows with a pivot in the right half are already the rref of the meet
-    rows = [i for i, p in enumerate(pivots) if p >= n]
-    return Subspace(n, red.take_rows(rows).take_columns(range(n, 2 * n)), tuple(pivots[i] - n for i in rows))
-
-
-def _as_row(field: FieldSpec, v) -> Matrix:
-    if isinstance(v, Matrix):
-        if v.rows != 1:
-            raise DimensionMismatch("expected a single row vector")
-        return v
-    return Matrix.from_scalars(field, [list(v)])
+    top, bot = _accel.exact(0, a.basis.num, b.basis.num)  # stacking: no arithmetic
+    work, pivots = _accel.rref_frac(np.block([[top, top], [bot, np.zeros_like(bot)]]), a.field.p)
+    # the rank rows with a pivot in the right half are already the rref of the meet
+    k = sum(c < n for c in pivots)
+    rows, den = _rank_rows(work[k:], pivots[k:])
+    return Subspace(n, Matrix.build(a.field, rows[:, n:], den), tuple(c - n for c in pivots[k:]))
 
 
 def contains(a: Subspace, v) -> bool:
-    """Exact membership test via rref reduction."""
-    row = _as_row(a.field, v)
-    if row.cols != a.ambient_dim:
-        raise AmbientMismatch(f"vector length {row.cols} vs ambient {a.ambient_dim}")
-    return a.contains_rows(row)
+    """Exact membership test of a row vector (a 1-row Matrix or scalars) via rref reduction."""
+    if not isinstance(v, Matrix):
+        v = Matrix.from_scalars(a.field, [list(v)])
+    elif v.rows != 1:
+        raise DimensionMismatch("expected a single row vector")
+    return a.contains_rows(v)

@@ -83,23 +83,28 @@ def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix, words: np.ndarra
     return braid_word(space, d, word, mat, words)
 
 
-def _monomial_delta(space: BraidedSpace, i: int, j: int, words: np.ndarray | None = None):
+def _monomial_delta(space: BraidedSpace, i: int, j: int, words: np.ndarray | None = None, transposed=False):
     """Delta_{i,j} of a monomial braiding as ``(src, num, den)``, cached.
 
     Row t of the C(i+j, i) x n^(i+j) arrays is one term: index u gets
     num[t, u] / den times index src[t, u], and Delta_{i,j} is the sum of
     the terms; den = c.den**(i*j).  Given ascending ``words`` that Delta
     maps to itself, it is the slice there, sources given as places in
-    ``words``.  Both are stored in the narrowest dtypes (sources unsigned,
-    numerators signed within their maxabs, object kept): widen before use.
+    ``words``; ``transposed`` inverts each term (a permutation) for Delta^T.
+    All are cached, in the narrowest dtypes (sources unsigned, numerators
+    signed within their maxabs, object kept): widen before use.
     """
     n, d = space.n, i + j
     size = n**d if words is None else words.size
-    key = (i, j) if size == n**d else (i, j, words.tobytes())
+    key = (i, j, transposed) if size == n**d else (i, j, transposed, words.tobytes())
     out = space._delta_cache.get(key)
     if out is not None:
         return out
-    if size < n**d:
+    if transposed:
+        src, num, den = _monomial_delta(space, i, j, words)
+        src = np.argsort(src, axis=1)
+        num = np.take_along_axis(num, src, axis=1)
+    elif size < n**d:
         src, num, den = _monomial_delta(space, i, j)
         src, num = np.searchsorted(words, src[:, words]), num[:, words]
     elif i == 0 or j == 0:

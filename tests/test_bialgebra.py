@@ -27,7 +27,7 @@ from braidrank import (
 )
 from braidrank.bialgebra import GradedQuotient, GradedSubspace, _validate_quotient
 from braidrank.braiding import BraidedSpace
-from braidrank.exactlin import hstack, kernel_basis, vstack
+from braidrank.exactlin import kernel_basis, vstack
 from braidrank.tower import run
 
 from conftest import diagonal_space, hecke_space, jordan_space, sym_dim, witt
@@ -181,7 +181,8 @@ def _tower_quotients(space, cutoff):
 def _flat_tensor_coords(q, i, j, rows):
     """tensor_coords of flat rows: the coordinates of each class, side by side."""
     classes = q.classes(i + j).cols
-    return hstack([q.tensor_coords(i, j, k, rows.take_columns(cols)) for k, cols in enumerate(classes)])
+    blocks = [q.tensor_coords(i, j, k, rows.take_columns(cols)) for k, cols in enumerate(classes)]
+    return vstack([b.transpose() for b in blocks]).transpose()
 
 
 def test_tensor_coords_kernel_is_the_mixing_space():

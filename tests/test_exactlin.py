@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from braidrank import (
 from braidrank import _accel
 from braidrank.bialgebra import GradedSubspace, _class_rows, _split
 from braidrank.braiding import WeightClasses
-from braidrank.exactlin import _rref_basis, kernel_rows, vstack
+from braidrank.exactlin import _BUILD, _rref_basis, kernel_rows, vstack
 
 F5 = GF(5)
 F7 = GF(7)
@@ -607,6 +609,93 @@ def test_int64_demotion_boundary():
     assert Matrix.build(RATIONALS, np.array([[edge, -edge]], dtype=object)).num.dtype == np.int64
     for big in (2**62, -(2**62)):
         assert Matrix.build(RATIONALS, np.array([[big, 1]], dtype=object)).num.dtype == object
+
+
+def _object_lane(mat):
+    """``mat`` with object-dtype numerators, a lane that Matrix.build would store as int64."""
+    return Matrix(mat.field, mat.num.astype(object), mat.den, _token=_BUILD)
+
+
+def _assert_canonical(mat):
+    """gcd(content, den) is 1, den > 0 (1 over F_p), and int64 exactly when every |entry| < 2**62."""
+    entries = [int(x) for x in mat.num.flat]
+    assert mat.den > 0 and gcd(reduce(gcd, entries, 0), mat.den) == 1
+    assert (mat.num.dtype == np.int64) is all(abs(x) < 2**62 for x in entries), mat.num.dtype
+    if not mat.field.is_rationals:
+        assert mat.den == 1 and all(0 <= x < mat.field.p for x in entries)
+
+
+@st.composite
+def elimination_case(draw):
+    """A field (Q, GF(7) or GF(2**61 - 1)) and 1-6 rows of 1-5 entries, small,
+    huge or on both sides of 2**62."""
+    field = draw(st.sampled_from([RATIONALS, RATIONALS, F7, BIG_PRIME_FIELD]))
+    cols = draw(st.integers(1, 5))
+    entry = st.one_of(small_entries, small_entries, HUGE_ENTRIES, NEAR_INT64_STORE)
+    return field, draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elimination_case())
+# pivot entries 2 and 3: the rank rows come over den 6
+@example((RATIONALS, [[2, 1, 0], [0, 3, 1]]))
+@example((RATIONALS, [[2**62 + 1, 3, 0], [5, -(2**63), 7], [1, 1, 2**62]]))
+# int64 rank rows whose scaling by den / pivot = 3 passes 2**63
+@example((RATIONALS, [[3, 0, 1], [0, 2, 2**62 - 1]]))
+@example((BIG_PRIME_FIELD, [[2**62 + 1, 3], [5, -(2**63)]]))
+@example((F7, [[1, 2, 3], [0, 0, 0], [3, 6, 2]]))
+@example((RATIONALS, [[2, 0, 0], [1, 3, 0], [0, 1, 5]]))
+def test_eliminations_are_canonical_on_both_lanes(case):
+    # rref, from_rows, sum, kernel_basis and intersect on the int64 lane and
+    # on the same matrices in object dtype: canonical, and equal
+    field, data = case
+    mat = Matrix.from_scalars(field, data)
+    top, bot = mat.take_rows(range(mat.rows // 2)), mat.take_rows(range(mat.rows // 2, mat.rows))
+    lanes = []
+    for lane in (lambda m: m, _object_lane):
+        a, b = Subspace.from_rows(lane(top)), Subspace.from_rows(lane(bot))
+        red, pivots = lane(mat).rref()
+        subs = [Subspace.from_rows(lane(mat)), a.sum([lane(bot)]), kernel_basis(lane(mat))]
+        subs.append(intersect(*(Subspace(s.ambient_dim, lane(s.basis), s.pivots) for s in (a, b))))
+        for m in [red, a.basis, b.basis] + [s.basis for s in subs]:
+            _assert_canonical(m)
+        assert (red.scalar_rows(), list(pivots)) == reference_rref(data, field)
+        assert red.take_rows(range(len(pivots))) == subs[0].basis and subs[1] == subs[0]
+        ker, meet = subs[2:]
+        assert ker.dim + len(pivots) == mat.cols and (mat @ ker.basis.transpose()).is_zero()
+        assert a.contains_rows(meet.basis) and b.contains_rows(meet.basis)
+        lanes.append((red, pivots, subs))
+    (red, pivots, subs), (obj_red, obj_pivots, obj_subs) = lanes
+    assert red == obj_red and pivots == obj_pivots and subs == obj_subs
+
+
+def test_eliminations_build_once_in_the_int64_lane(monkeypatch):
+    # pivot entries 2 and 3 put the rank rows over den 6 with small entries:
+    # no elimination hands Matrix.build an object array, and kernel_basis
+    # builds at most two matrices
+    mat = Matrix.from_scalars(RATIONALS, [[2, 1, 0], [0, 3, 1]])
+    row, rest = mat.take_rows([0]), mat.take_rows([1])
+    line, other = Subspace.from_rows(row), Subspace.from_rows(Matrix.from_scalars(RATIONALS, [[1, 1, 1], [0, 2, 1]]))
+    built, build = [], Matrix.build
+
+    def spy(field, num, den=1):
+        built.append(num.dtype)
+        return build(field, num, den)
+
+    monkeypatch.setattr(Matrix, "build", staticmethod(spy))
+    calls = {
+        "rref": mat.rref,
+        "from_rows": lambda: Subspace.from_rows(mat),
+        "sum": lambda: line.sum([rest]),
+        "kernel_basis": lambda: kernel_basis(mat),
+        "intersect": lambda: intersect(Subspace.from_rows(mat), other),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert object not in built, (name, built)
+        if name == "kernel_basis":
+            assert len(built) <= 2, built
 
 
 def test_kernel_basis_on_int64_and_object_rrefs():
