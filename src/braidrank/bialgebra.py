@@ -235,16 +235,20 @@ def _apply_delta_rows(space: BraidedSpace, i: int, j: int, rows: Matrix, cols: n
 
     The rows live on the words ``cols`` of a class, which Delta maps to
     itself.  For a monomial braiding, rows @ Delta^T is the sum over the
-    terms of the class's slice from :func:`braidrank.shuffle._monomial_delta`
-    of rows[:, src] * num, and rows @ Delta the same sum over its inverted
-    terms; any other braiding multiplies by the numerators of the class's
-    block of :func:`braidrank.shuffle.delta_component`.  Shuffle caches all three.
+    class terms of :func:`braidrank.shuffle._monomial_delta` of
+    rows[:, src] * num, and rows @ Delta the same sum over the terms
+    inverted here, on each call; any other braiding multiplies by the
+    numerators of the class's block of :func:`braidrank.shuffle.delta_component`.
+    Shuffle caches the terms and the blocks, never their inverses.
     """
     if not space.is_monomial:
         delta = shuffle.delta_component(space, i, j, cols)
         out = _accel.matmul_int(rows.num, delta.num if transposed else delta.num.T, space.field.p)
         return Matrix.build(space.field, out, rows.den * delta.den)
-    src, num, den = shuffle._monomial_delta(space, i, j, cols, transposed)
+    src, num, den = shuffle._monomial_delta(space, i, j, cols)
+    if transposed:
+        src = np.argsort(src, axis=1)
+        num = np.take_along_axis(num, src, axis=1)
     return Matrix.build(space.field, _accel.gather_sum(rows.num.T, src, num, space.field.p).T, rows.den * den)
 
 

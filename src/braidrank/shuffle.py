@@ -8,12 +8,12 @@ by the braided q-Pascal recursion on the last tensor slot (Rosso 1998):
     Delta_{i,j} = Delta_{i,j-1} (x) Id + c_i ... c_{d-1} (Delta_{i-1,j} (x) Id)
 
 with d = i + j, Delta_{i,0} = Delta_{0,j} = Id, and c_{d-1} acting first.
-A monomial braiding (flip, diagonal) keeps Delta_{i,j} as C(d, i) integer
-terms in gather form, the rows of a sources array and a numerators array,
-over one denominator, and cuts each weight class's slice from them once;
-both are stored in the narrowest dtypes.  Any other braiding keeps a dense
-matrix per weight class, where Delta (x) Id is block diagonal over the
-last letter.
+Both representations are built on one weight class at a time, where
+Delta (x) Id is block diagonal over the last letter.  A monomial braiding
+(flip, diagonal) keeps Delta_{i,j} as C(d, i) integer terms in gather
+form, the rows of a sources array and a numerators array, over one
+denominator, stored in the narrowest dtypes.  Any other braiding keeps a
+dense matrix.
 
 The quantum symmetrizer S_d, the sum of the positive lifts of all of S_d,
 is the independent oracle for the tower.  It unrolls the factorization
@@ -66,16 +66,18 @@ def _times(a: np.ndarray, b, field: FieldSpec) -> np.ndarray:
     return a * b if field.is_rationals else a * b % field.p
 
 
-def _monomial_lift(space: BraidedSpace, d: int, word):
-    """Lift of a braid word on V^(x)d in gather form: index u gets num[u] / c.den**len(word) times src[u].
-
-    The one-term generator actions compose from the leftmost letter."""
-    words = np.arange(space.n**d)
-    src, num = words, np.ones(words.size, dtype=np.int64)
-    for k in word:
-        (s,), (c,) = generator_terms(space, d, k, words)
-        src, num = s[src], _times(num, c[src], space.field)
-    return src, num
+def _monomial_lift(space: BraidedSpace, d: int, i: int, words: np.ndarray):
+    """The chain c_i ... c_{d-1} on ``words`` of V^(x)d in gather form, cached: place u gets
+    num[u] / c.den**(d-i) times place src[u] of ``words``; c_i acts after the chain from i+1."""
+    key = ("chain", d, i, words.tobytes())
+    out = space._delta_cache.get(key)
+    if out is None:
+        (src,), (num,) = generator_terms(space, d, i, words)
+        if i < d - 1:
+            rest, scale = _monomial_lift(space, d, i + 1, words)
+            src, num = rest[src], _times(num, scale[src], space.field)
+        out = space._delta_cache[key] = src, num
+    return out
 
 
 def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix, words: np.ndarray) -> Matrix:
@@ -83,45 +85,41 @@ def _dense_lift(space: BraidedSpace, d: int, word, mat: Matrix, words: np.ndarra
     return braid_word(space, d, word, mat, words)
 
 
-def _monomial_delta(space: BraidedSpace, i: int, j: int, words: np.ndarray | None = None, transposed=False):
-    """Delta_{i,j} of a monomial braiding as ``(src, num, den)``, cached.
+def _by_last_letter(space: BraidedSpace, words: np.ndarray):
+    """The ascending ``words`` of a class by last letter: for each letter the places ``p`` of its
+    words and ``words[p] // n``, a class of degree one less; and the order that puts the places back."""
+    pos = [p for p in (np.flatnonzero(words % space.n == e) for e in range(space.n)) if p.size]
+    return [(p, words[p] // space.n) for p in pos], np.argsort(np.concatenate(pos))
 
-    Row t of the C(i+j, i) x n^(i+j) arrays is one term: index u gets
-    num[t, u] / den times index src[t, u], and Delta_{i,j} is the sum of
-    the terms; den = c.den**(i*j).  Given ascending ``words`` that Delta
-    maps to itself, it is the slice there, sources given as places in
-    ``words``; ``transposed`` inverts each term (a permutation) for Delta^T.
-    All are cached, in the narrowest dtypes (sources unsigned, numerators
-    signed within their maxabs, object kept): widen before use.
+
+def _monomial_delta(space: BraidedSpace, i: int, j: int, words: np.ndarray):
+    """Delta_{i,j} of a monomial braiding on ascending ``words`` that it maps to itself, as ``(src, num, den)``, cached.
+
+    Row t of the C(i+j, i) x |words| arrays is one term: place u gets
+    num[t, u] / den times place src[t, u] of ``words``, and Delta_{i,j} is
+    the sum of the terms; den = c.den**(i*j).  Cached per (i, j, words) in
+    the narrowest dtypes (sources unsigned, numerators signed within their
+    maxabs, object kept): widen before use.
     """
-    n, d = space.n, i + j
-    size = n**d if words is None else words.size
-    key = (i, j, transposed) if size == n**d else (i, j, transposed, words.tobytes())
+    key = (i, j, words.tobytes())
     out = space._delta_cache.get(key)
     if out is not None:
         return out
-    if transposed:
-        src, num, den = _monomial_delta(space, i, j, words)
-        src = np.argsort(src, axis=1)
-        num = np.take_along_axis(num, src, axis=1)
-    elif size < n**d:
-        src, num, den = _monomial_delta(space, i, j)
-        src, num = np.searchsorted(words, src[:, words]), num[:, words]
-    elif i == 0 or j == 0:
-        src, num, den = np.arange(n**d)[None, :], np.ones((1, n**d), dtype=np.int64), 1
+    if i == 0 or j == 0:
+        src, num, den = np.arange(words.size)[None, :], np.ones((1, words.size), dtype=np.int64), 1
     else:
-        # (x) Id on the last slot, then Id scaled by c.den**i or the chain
-        # (which carries c.den**j): both parts come to den c.den**(i*j)
-        ident = np.arange(n**d), _times(np.ones(n**d, dtype=np.int64), space.c.den**i, space.field)
-        chain = _monomial_lift(space, d, range(i, d))
         srcs, nums = [], []
-        parts = ((_monomial_delta(space, i, j - 1), ident), (_monomial_delta(space, i - 1, j), chain))
-        for (src, num, _), (csrc, cnum) in parts:
-            srcs.append((src[:, :, None].astype(np.int64) * n + np.arange(n)).reshape(src.shape[0], -1)[:, csrc])
-            nums.append(_times(np.repeat(num, n, axis=1)[:, csrc], cnum, space.field))
+        (parts, order), (csrc, cnum) = _by_last_letter(space, words), _monomial_lift(space, i + j, i, words)
+        # (x) Id on the last slot, each last letter's terms s placed at p[s], then
+        # scaled by c.den**i or after the chain (which carries c.den**j): both
+        # parts come to den c.den**(i*j)
+        for (a, b), at, scale in (((i, j - 1), order, space.c.den**i), ((i - 1, j), order[csrc], cnum)):
+            terms = [_monomial_delta(space, a, b, sub) for _, sub in parts]
+            srcs.append(np.concatenate([p[t[0]] for (p, _), t in zip(parts, terms)], axis=1)[:, at])
+            nums.append(_times(np.concatenate([t[1] for t in terms], axis=1)[:, at], scale, space.field))
         src, num, den = np.vstack(srcs), np.vstack(nums), space.c.den ** (i * j)
     kind = object if num.dtype == object else np.min_scalar_type(-1 - maxabs(num))
-    out = space._delta_cache[key] = src.astype(np.min_scalar_type(size)), num.astype(kind, copy=False), den
+    out = space._delta_cache[key] = src.astype(np.min_scalar_type(words.size)), num.astype(kind, copy=False), den
     return out
 
 
@@ -132,9 +130,8 @@ def _assemble_monomial_sum(space: BraidedSpace, src: np.ndarray, num: np.ndarray
 
 def _delta_id(space: BraidedSpace, i: int, j: int, words: np.ndarray) -> Matrix:
     """Delta_{i,j} (x) Id on ``words`` of V^(x)(i+j+1): block diagonal over the last letter."""
-    pos = [np.flatnonzero(words % space.n == e) for e in range(space.n)]
-    rows = [_place(delta_component(space, i, j, words[p] // space.n), p, words.size) for p in pos]
-    return vstack(rows).take_rows(np.argsort(np.concatenate(pos)))
+    parts, order = _by_last_letter(space, words)
+    return vstack([_place(delta_component(space, i, j, sub), p, words.size) for p, sub in parts]).take_rows(order)
 
 
 def delta_component(space: BraidedSpace, i: int, j: int, words: np.ndarray | None = None) -> Matrix:
@@ -143,16 +140,17 @@ def delta_component(space: BraidedSpace, i: int, j: int, words: np.ndarray | Non
     ``words`` are ascending words that Delta maps to itself (default all).
     Delta_{0,d} = Delta_{d,0} = Id and Delta_{1,1} = Id + c; the codomain
     V^(x)i (x) V^(x)j is indexed by the shared big-endian convention.  Both
-    representations are cached per (i, j, words): a monomial braiding's
-    slice of terms (:func:`_monomial_delta`), any other braiding's block.
+    representations are built from the classes of degree i+j-1 below
+    ``words`` and cached per (i, j, words): a monomial braiding's terms
+    (:func:`_monomial_delta`), any other braiding's block.
     """
     if i < 0 or j < 0:
         raise DegreeCap("degrees must be nonnegative")
     d = i + j
     check_degree(d)
+    words = np.arange(space.n**d) if words is None else words
     if space.is_monomial:
         return _assemble_monomial_sum(space, *_monomial_delta(space, i, j, words))
-    words = np.arange(space.n**d) if words is None else words
     key = (i, j, words.tobytes())
     out = space._delta_cache.get(key)
     if out is None:

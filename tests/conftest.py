@@ -56,6 +56,19 @@ def hecke_space(field, n=2):
     return make_from_matrix(n, field, Matrix.from_scalars(field, entries))
 
 
+# c(e_i (x) e_j) = e_f(j) (x) e_f(i), f swapping e0 and e1, column convention
+SWAP_ENTRIES = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
+
+
+def swap_space(field):
+    """c(x (x) y) = f(y) (x) f(x), f the swap of e0 and e1 (n=2): monomial, not graded.
+
+    A permutation solution of the braid equation (Lyubashenko).  It mixes
+    weights (e0 e0 goes to e1 e1), so each V^(x)d is one class.  In the
+    basis e0 + e1, e0 - e1 it is diagonal with q = [[1, -1], [-1, 1]]."""
+    return make_from_matrix(2, field, Matrix.from_scalars(field, SWAP_ENTRIES))
+
+
 def witt(n: int, d: int) -> int:
     """Free Lie algebra dimension via the Witt formula (necklace count)."""
     total = 0

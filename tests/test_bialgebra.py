@@ -30,7 +30,7 @@ from braidrank.braiding import BraidedSpace
 from braidrank.exactlin import kernel_basis, vstack
 from braidrank.tower import run
 
-from conftest import diagonal_space, hecke_space, jordan_space, sym_dim, witt
+from conftest import diagonal_space, hecke_space, jordan_space, swap_space, sym_dim, witt
 
 
 def span(field, ambient, rows):
@@ -228,6 +228,8 @@ def test_gather_application_matches_dense_product():
         make_flip(2, GF(3)),
         diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
         diagonal_space(GF(7), [[2, 3], [4, 5]]),
+        swap_space(RATIONALS),
+        swap_space(GF(3)),
     ]
     for space in cases:
         for (i, j) in [(1, 1), (1, 2), (2, 1), (2, 2)]:
@@ -241,8 +243,8 @@ def test_gather_application_matches_dense_product():
             assert _apply_delta_rows(space, i, j, rows, words) == rows @ delta.transpose(), (space, i, j)
             assert _apply_delta_rows(space, i, j, rows, words, transposed=True) == rows @ delta, (space, i, j)
 
-    # each weight class's cached slice of the terms, in both directions,
-    # against the class block of the flat Delta
+    # each weight class's own terms, in both directions, against the class
+    # block of the flat Delta
     def check_classes(space, i, j, delta):
         for cols in space.classes(i + j).cols:
             block = delta.take_rows(cols).take_columns(cols)
@@ -258,7 +260,9 @@ def test_gather_application_matches_dense_product():
         check_classes(cases[0], i, 4 - i, delta_component(cases[0], i, 4 - i))
 
     # at d = 8 these splits of the A2 pair have object-dtype terms; int64
-    # row blocks whose bound is 0 (no rows, all zeros) must still promote
+    # row blocks whose bound is 0 (no rows, all zeros) must still promote.
+    # Each class's terms take their own dtype: the 1-word classes stay in
+    # int64, the 70-word class (four of each letter) needs object
     space = cases[2]
     size = space.n**8
     words = np.arange(size)
@@ -267,14 +271,16 @@ def test_gather_application_matches_dense_product():
         Matrix.zeros(RATIONALS, 2, size),
         Matrix.identity(RATIONALS, size).take_rows(range(0, size, 37)),
     ]
+    middle = max(space.classes(8).cols, key=len)
+    assert middle.size == 70
     for (i, j) in [(3, 5), (4, 4), (5, 3)]:
-        assert shuffle._monomial_delta(space, i, j)[1].dtype == object
+        assert shuffle._monomial_delta(space, i, j, words)[1].dtype == object
         delta = delta_component(space, i, j)
         for rows in blocks:
             assert _apply_delta_rows(space, i, j, rows, words) == rows @ delta.transpose(), (i, j, rows.rows)
             assert _apply_delta_rows(space, i, j, rows, words, transposed=True) == rows @ delta, (i, j, rows.rows)
         check_classes(space, i, j, delta)
-        assert all(shuffle._monomial_delta(space, i, j, cols)[1].dtype == object for cols in space.classes(8).cols)
+        assert shuffle._monomial_delta(space, i, j, middle)[1].dtype == object
 
 
 def test_graded_dense_delta_stays_on_the_class():

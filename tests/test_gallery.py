@@ -14,6 +14,13 @@ truncated at the cutoff, and never taken from a run.  Sources:
 - the super Jordan plane: Andruskiewitsch-Angiono-Heckenberger, *On finite
   GK-dimensional Nichols algebras over abelian groups*, Mem. AMS 271
   (2021); Hilbert series 1 / (1 - t)^2.
+- the permutation braiding c(x (x) y) = f(y) (x) f(x), f the swap of e0
+  and e1 (Lyubashenko, *Hopf algebras and vector symmetries*, Russian
+  Math. Surveys 41 (1986)), over Q and over GF(3).  It is monomial but not
+  graded, so every degree is one class of words.  In the basis e0 + e1,
+  e0 - e1 it is diagonal with q = [[1, -1], [-1, 1]]: the quantum plane
+  x y = -y x, with x^3 = y^3 = 0 in characteristic 3, so the series are
+  1 / (1 - t)^2 and (1 + t + t^2)^2.
 - combinatorial rank 2 (both A2 jobs and the super Jordan plane, each with
   a relation that is primitive only after the first stage): Ardizzoni, *On the
   combinatorial rank of a graded braided bialgebra*, J. Pure Appl. Algebra
@@ -36,6 +43,8 @@ import pytest
 from click.testing import CliRunner
 
 from braidrank.cli import main
+
+from conftest import SWAP_ENTRIES
 
 
 def invoke(args, doc):
@@ -60,6 +69,7 @@ def _job(field, n, braiding, cutoff):
 
 
 QQ = {"kind": "rationals"}
+SWAP = {"kind": "matrix", "entries": [[str(x) for x in row] for row in SWAP_ENTRIES]}
 
 # (job, Hilbert series factors, rank at the cutoff)
 GALLERY = {
@@ -96,6 +106,8 @@ GALLERY = {
         [_geometric(7), _geometric(7)],
         2,
     ),
+    "swap braiding QQ": (_job(QQ, 2, SWAP, 7), [_geometric(7), _geometric(7)], 1),
+    "swap braiding GF(3)": (_job({"kind": "prime", "p": 3}, 2, SWAP, 7), [[1, 1, 1], [1, 1, 1]], 1),
 }
 
 

@@ -21,7 +21,7 @@ from braidrank import (
     run,
 )
 
-from conftest import acceptance_braidings, conjugated_space, diagonal_space, sym_dim, witt
+from conftest import acceptance_braidings, conjugated_space, diagonal_space, swap_space, sym_dim, witt
 
 
 def test_oracle_flip_n2_is_symmetric_algebra():
@@ -149,6 +149,16 @@ def test_conjugated_braiding_exercises_dense_path():
     for q in stages:
         for d in (1, 2, 3):
             assert primitives(q, d).subspace == brute_force_primitives(space, q, d)
+
+
+def test_ungraded_monomial_braiding_matches_brute_force():
+    # the swap braiding is monomial but mixes weights: the primitives of the
+    # free object come from Delta terms built on all n^d words at once
+    for field in (RATIONALS, GF(3)):
+        space = swap_space(field)
+        q = free_truncated(space, 4)
+        for d in (1, 2, 3, 4):
+            assert primitives(q, d).subspace == brute_force_primitives(space, q, d), (field, d)
 
 
 def test_order3_and_order4_roots_give_truncated_lines():

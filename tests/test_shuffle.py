@@ -18,13 +18,14 @@ from braidrank import (
     gaussian_binomial,
     make_flip,
     make_from_matrix,
+    run,
     symmetrizer,
     unshuffles,
 )
 from braidrank.braiding import apply_generator, braid_word, inversions, invert_perm, lexmin_reduced_word
-from braidrank.shuffle import block_transposition
+from braidrank.shuffle import _assemble_monomial_sum, block_transposition
 
-from conftest import conjugated_space, diagonal_space, hecke_space
+from conftest import conjugated_space, diagonal_space, hecke_space, swap_space
 
 F7 = GF(7)
 
@@ -122,14 +123,19 @@ def test_delta_coefficient_is_gaussian_binomial(qval, field):
 
 def test_recursion_and_factorization_match_definitions():
     # Delta by the q-Pascal recursion and S_d by the factorization, against
-    # the defining sums of braid_word lifts over unshuffles and over S_d
+    # the defining sums of braid_word lifts over unshuffles and over S_d.
+    # The swap braiding is monomial but mixes weights, so its Delta terms
+    # are built on all n^d words, its one class
     spaces = [
         make_flip(2, RATIONALS),
         diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
         diagonal_space(GF(7), [[2, 3], [4, 5]]),
         JORDAN,
+        swap_space(RATIONALS),
+        swap_space(GF(3)),
     ]
     assert not JORDAN.is_monomial
+    assert spaces[-1].is_monomial and len(spaces[-1].classes(4).cols) == 1
     for space in spaces:
         for d in range(1, 6):
             zero = Matrix.zeros(space.field, space.n**d, space.n**d)
@@ -169,6 +175,44 @@ def test_recursion_and_factorization_match_definitions():
         delta_component(spaces[0], -1, 2)
     with pytest.raises(DegreeCap):
         delta_component(spaces[0], 6, 7)
+
+
+def _unshuffle_sum(space, i, j, words):
+    """Delta_{i,j} on ``words`` by definition: the lifts of the inverse (i,j)-unshuffles, summed."""
+    total = Matrix.zeros(space.field, words.size, words.size)
+    for w, _ in unshuffles(i, j):
+        total = total + braid_word(space, i + j, lexmin_reduced_word(invert_perm(w)), words=words)
+    return total
+
+
+def test_delta_cache_holds_only_class_terms():
+    # a tower over a graded monomial braiding builds each Delta_{i,j} and
+    # each chain c_i ... c_{d-1} on one weight class from the classes below
+    # it: every cached term array of degree >= 2 is exactly one class wide,
+    # none is n^d wide, and each holds the operator itself, not its inverse
+    a2 = diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]])
+    for space in (make_flip(2, RATIONALS), a2):
+        run(space, 7)
+        degrees = set()
+        for key, terms in space._delta_cache.items():
+            # ("chain", d, i, words) or (i, j, words): every entry names its class
+            chain = key[0] == "chain"
+            assert len(key) == (4 if chain else 3) and isinstance(key[-1], bytes), key
+            d = key[1] if chain else key[0] + key[1]
+            words = np.frombuffer(key[-1], dtype=np.int64)
+            if d < 2:
+                continue
+            degrees.add(d)
+            assert any(np.array_equal(words, cols) for cols in space.classes(d).cols), (space, key[:-1])
+            assert words.size < space.n**d and terms[0].shape[-1] == words.size, (space, key[:-1])
+            if chain:
+                src, num = terms
+                lift = _assemble_monomial_sum(space, src[None, :], num[None, :], space.c.den ** (d - key[2]))
+                assert lift == braid_word(space, d, range(key[2], d), words=words), (space, key[:-1])
+            else:
+                i, j, _ = key
+                assert _assemble_monomial_sum(space, *terms) == _unshuffle_sum(space, i, j, words), (space, key[:-1])
+        assert degrees == set(range(2, 8)), space
 
 
 # sha256 over S_d and every Delta_{i,d-i}, d <= 7, of the spaces above,
