@@ -7,9 +7,9 @@ are one as well.  Braid lifts and coproduct components of a braiding that
 preserves multidegree map each class to itself, so saturation, the
 primitive kernels, Delta application and both re-checks run class by
 class.  An ungraded braiding, or a quotient saturated from a generator
-with a row across two classes, has one class: the same code path.  Only
-:class:`GradedSubspace` knows the class layout and its flat n^d-wide form;
-flat generators are split in :func:`_class_rows`.
+with a row across two classes, has one class: the same code path.  Flat
+generators are split in :func:`_class_rows`; :attr:`GradedSubspace.subspace`
+and the cache rows of :mod:`braidrank.cli` read the class layout as well.
 
 Two invariants are re-verified (exactly) every time a quotient is built:
 
@@ -38,7 +38,7 @@ import numpy as np
 from . import _accel, shuffle
 from .braiding import BraidedSpace, WeightClasses, check_degree
 from .errors import AmbientMismatch, BialgebraInvariantError, DegreeCap
-from .exactlin import Matrix, Subspace, _place, kernel_basis, kernel_rows, vstack
+from .exactlin import Matrix, Subspace, _place, intersect, kernel_basis, kernel_rows, vstack
 
 __all__ = [
     "GradedQuotient",
@@ -115,17 +115,6 @@ def _split(space: BraidedSpace, graded: bool, gens: list) -> tuple[bool, list]:
         out = [(d, _class_rows(space.classes(d, g), gen)) for d, gen in gens]
         if all(rows is not None for _, rows in out):
             return g, out
-
-
-def _shifted(n: int, rel: GradedSubspace, dst: WeightClasses):
-    """For each nonzero class basis b of R_d and each letter e: (b, class w of
-    ``dst``, the classes of V^(x)(d+1), places in w) of b (x) e, then of e (x) b."""
-    size = rel.classes.label.size
-    for part, cols in zip(rel.parts, rel.classes.cols):
-        for words in [cols * n + e for e in range(n)] + [e * size + cols for e in range(n)]:
-            if part.dim:
-                w = dst.label[words[0]]
-                yield part.basis, w, np.searchsorted(dst.cols[w], words)
 
 
 class GradedQuotient:
@@ -266,10 +255,15 @@ def _validate_quotient(q: GradedQuotient, require_coideal: bool = True):
     primitive generators still yield a usable graded algebra quotient.
     """
     for d in range(1, q.cutoff):
-        # each b (x) e and e (x) b times pi_{d+1}^T of its class
-        for basis, w, pos in _shifted(q.space.n, q._rels[d - 1], q.classes(d + 1)):
-            if _accel.matmul_int(basis.num, q.projection(d + 1, w).num[:, pos].T, q.space.field.p).any():
-                raise BialgebraInvariantError(f"ideal closure fails from degree {d} to {d + 1}")
+        rel, v, dst = q._rels[d - 1], q.classes(1), q.classes(d + 1)
+        # b (x) e (tail) and e (x) b (head) times pi_{d+1}^T, b a class basis of R_d, on grids of b's words first
+        for w, (tail, head) in enumerate(zip(dst.grids(rel.classes, v), dst.grids(v, rel.classes))):
+            for part, grid in [(rel.parts[a], g) for a, _, g in tail] + [(rel.parts[b], g.T) for _, b, g in head]:
+                if part.dim == 0:
+                    continue
+                proj = q.projection(d + 1, w).num[:, grid].transpose(1, 0, 2).reshape(len(grid), -1)
+                if _accel.matmul_int(part.basis.num, proj, q.space.field.p).any():
+                    raise BialgebraInvariantError(f"ideal closure fails from degree {d} to {d + 1}")
     for d in range(2, q.cutoff + 1):
         r_d = q._rels[d - 1]
         for k, (rel, cols) in enumerate(zip(r_d.parts, r_d.classes.cols)):
@@ -308,11 +302,13 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
 
     ``new_relations`` is a list of (degree, generators) pairs, each a flat
     Subspace or a :class:`GradedSubspace` of ``q``.  Generators are added
-    class by class, then one ascending sweep propagates
-    R_{d+1} <- R_{d+1} + V (x) R_d + R_d (x) V, class w of R_d feeding the
-    classes w + e of R_{d+1}.  It reaches the fixpoint because closure only
-    feeds upward; the invariant re-check then certifies it.  Quotient
-    dimensions weakly decrease.
+    class by class.  Then, in ascending d, class w of R_{d+1} becomes the
+    kernel of A, the functionals on w that vanish on R_d (x) V and V (x) R_d
+    (the meet of the row spaces of :meth:`~GradedQuotient.tensor_coords`
+    (d, 1) and (1, d) of w's identity) and on the rows of R_{d+1}(w): the
+    eliminations are as wide as Q_d, not as R_d.  Closure only feeds upward,
+    so this is the fixpoint, which the invariant re-check certifies.
+    Quotient dimensions weakly decrease.
     """
     space, n = q.space, q.space.n
     gens = []
@@ -338,11 +334,18 @@ def ideal_saturate(q: GradedQuotient, new_relations) -> GradedQuotient:
         rel = rels[d - 1]
         rels[d - 1] = GradedSubspace(rel.classes, tuple(p.sum([r]) for p, r in zip(rel.parts, rows)))
     for d in range(1, q.cutoff):
-        dst = rels[d].classes
-        pieces = [[] for _ in dst.cols]
-        for basis, w, pos in _shifted(n, rels[d - 1], dst):
-            pieces[w].append(_place(basis, pos, dst.cols[w].size))
-        rels[d] = GradedSubspace(dst, tuple(p.sum(rows) for p, rows in zip(rels[d].parts, pieces)))
+        if rels[d - 1].dim == 0:
+            continue
+        # R_1 .. R_d are final: one quotient serves their projections
+        below, parts = GradedQuotient(space, q.cutoff, rels, _validated=True), []
+        for w, (rel, cols) in enumerate(zip(rels[d].parts, rels[d].classes.cols)):
+            ident = Matrix.identity(space.field, cols.size)
+            tail, head = (below.tensor_coords(i, j, w, ident).transpose() for i, j in ((d, 1), (1, d)))
+            ann = intersect(Subspace.from_rows(tail), Subspace.from_rows(head)).basis
+            if rel.dim:
+                ann = kernel_basis(rel.basis @ ann.transpose()).basis @ ann
+            parts.append(kernel_basis(ann))
+        rels[d] = GradedSubspace(rels[d].classes, tuple(parts))
     out = GradedQuotient(space, q.cutoff, rels, _validated=True)
     _validate_quotient(out, require_coideal=False)
     return out

@@ -449,7 +449,7 @@ class _DocReader:
     def check(self, head: dict, n: int, hilberts) -> list:
         """Compare the whole document with the writer's text for ``head`` and
         n**d - hilbert[d] rows in degree d of each stage, and return the
-        (start, stop) file offsets of each row's body, per stage and degree."""
+        (start, stop) file offsets of each row's body, an int64 array per stage and degree."""
         counts = [[n**d - h for d, h in enumerate(hilbert[1:], 1)] for hilbert in hilberts]
         # the writer's chunks, with each row's body given by its width
         stages = [[itertools.repeat(n**d, c) for d, c in enumerate(cs, 1)] for cs in counts]
@@ -462,7 +462,7 @@ class _DocReader:
         if self.pos < len(self.buf) or self._more():
             raise ValueError("cache document continues after its end")
         rows = iter(spans)
-        return [[list(itertools.islice(rows, c)) for c in cs] for cs in counts]
+        return [[np.array(list(itertools.islice(rows, c)), np.int64).reshape(c, 2) for c in cs] for cs in counts]
 
     def _row(self, width: int) -> tuple[int, int]:
         """A row body of ``width`` JSON strings with no escape, up to the next
@@ -508,7 +508,7 @@ class _StageCache:
 
     def _bodies(self, spans):
         """The body of each row at the (start, stop) offsets ``spans``."""
-        for start, stop in spans:
+        for start, stop in spans.tolist():
             self.fh.seek(start)
             yield self.fh.read(stop - start)
 

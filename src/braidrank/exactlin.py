@@ -428,16 +428,12 @@ class Subspace:
         return self.reduce_rows(mat).is_zero()
 
     def sum(self, rows: Sequence[Matrix]) -> "Subspace":
-        """This subspace plus the span of the rows of the matrices ``rows``;
-        itself when they add no row or it is the full space.  The stack is
-        eliminated with its rows sorted by leading column, which keeps the
-        fill-in small."""
+        """This subspace plus the span of the rows of the matrices ``rows``
+        (ideal saturation adds its generators so); itself when they add no
+        row or it is the full space."""
         if self.dim == self.ambient_dim or not any(r.rows for r in rows):
             return self
-        stack = vstack([self.basis, *rows])
-        lead = (stack.num != 0).argmax(axis=1)
-        work, pivots = _accel.rref_frac(stack.num[np.argsort(lead, kind="stable")], self.field.p)
-        return Subspace(self.ambient_dim, Matrix.build(self.field, *_rank_rows(work, pivots)), tuple(pivots))
+        return Subspace.from_rows(vstack([self.basis, *rows]))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

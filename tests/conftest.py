@@ -6,8 +6,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import settings
 
 from braidrank import GF, RATIONALS, Matrix, make_diagonal, make_flip, make_from_matrix
+
+# every run draws the same hypothesis examples; a test's own @settings keeps
+# its max_examples and takes derandomize from this profile
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 F2 = GF(2)
 F3 = GF(3)

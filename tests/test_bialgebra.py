@@ -25,9 +25,9 @@ from braidrank import (
     omega_projection,
     primitives,
 )
-from braidrank.bialgebra import GradedQuotient, GradedSubspace, _validate_quotient
+from braidrank.bialgebra import GradedQuotient, GradedSubspace, _class_rows, _split, _validate_quotient
 from braidrank.braiding import BraidedSpace
-from braidrank.exactlin import kernel_basis, vstack
+from braidrank.exactlin import _place, kernel_basis, vstack
 from braidrank.tower import run
 
 from conftest import diagonal_space, hecke_space, jordan_space, swap_space, sym_dim, witt
@@ -312,18 +312,32 @@ def test_hilbert_nonincreasing_under_saturation():
     assert all(a <= b for a, b in zip(after, before))
 
 
+def _partitioned(space, d, graded, sub):
+    """The flat subspace ``sub`` of V^(x)d as a GradedSubspace of that partition."""
+    classes = space.classes(d, graded)
+    return GradedSubspace(classes, tuple(Subspace.from_rows(r) for r in _class_rows(classes, sub.basis)))
+
+
 def test_validate_quotient_catches_broken_closure():
+    # R_2 is the commutator line; R_3 must hold both R_2 (x) V (tail) and
+    # V (x) R_2 (head), so a closure check that skips either side fails
+    # here, in the graded partition and in the one-class partition
     space = make_flip(2, RATIONALS)
-    rels = [
-        Subspace.zero(RATIONALS, 2),
-        span(RATIONALS, 4, [[0, 1, -1, 0]]),
-        Subspace.zero(RATIONALS, 8),  # missing the pushed-up relations
-    ]
-    broken = GradedQuotient(
-        space, 3, [GradedSubspace(space.classes(d, False), (r,)) for d, r in enumerate(rels, 1)], _validated=True
-    )
-    with pytest.raises(BialgebraInvariantError):
-        _validate_quotient(broken)
+    comm = Matrix.from_scalars(RATIONALS, [[0, 1, -1, 0]])
+    tail, head = comm.kron(Matrix.identity(RATIONALS, 2)), Matrix.identity(RATIONALS, 2).kron(comm)
+    for graded in (True, False):
+
+        def quotient(r_3):
+            rels = [Subspace.zero(RATIONALS, 2), Subspace.from_rows(comm), r_3]
+            rels = [_partitioned(space, d, graded, r) for d, r in enumerate(rels, 1)]
+            return GradedQuotient(space, 3, rels, _validated=True)
+
+        _validate_quotient(quotient(Subspace.from_rows(vstack([tail, head]))))
+        for r_3 in (Subspace.zero(RATIONALS, 8), Subspace.from_rows(tail), Subspace.from_rows(head)):
+            broken = quotient(r_3)
+            assert len(broken.classes(3).cols) == (4 if graded else 1)
+            with pytest.raises(BialgebraInvariantError, match="ideal closure fails from degree 2 to 3"):
+                _validate_quotient(broken)
 
 
 def test_omega_projection_laws():
@@ -406,6 +420,119 @@ def test_saturate_inhomogeneous_generator_matches_flat(field, monkeypatch):
         assert len(flat.classes(3).cols) == 1
         for x, y in zip(rels, _relations(flat)):
             _identical(x, y)
+
+
+def _shifted(n, rel, dst):
+    """For each nonzero class basis b of R_d and each letter e: (b, class w of
+    ``dst``, the classes of V^(x)(d+1), places in w) of b (x) e, then of e (x) b."""
+    size = rel.classes.label.size
+    for part, cols in zip(rel.parts, rel.classes.cols):
+        for words in [cols * n + e for e in range(n)] + [e * size + cols for e in range(n)]:
+            if part.dim:
+                w = dst.label[words[0]]
+                yield part.basis, w, np.searchsorted(dst.cols[w], words)
+
+
+def _stacked_saturate(q, new_relations):
+    """Reference for the relations of ideal_saturate(q, new_relations): the
+    generators are added class by class, then each class of R_{d+1}, in
+    ascending d, is the span of its rows stacked with every b (x) e and
+    e (x) b, b a class basis of R_d, that lands in it."""
+    space = q.space
+    gens = [(d, sub if isinstance(sub, GradedSubspace) else sub.basis) for d, sub in new_relations]
+    graded, gens = _split(space, q.classes(1) is space.classes(1), gens)
+    rels = [
+        rel if rel.classes is space.classes(d, graded) else GradedSubspace(space.classes(d, False), (rel.subspace,))
+        for d, rel in enumerate(q._rels, 1)
+    ]
+    for d, rows in gens:
+        rel = rels[d - 1]
+        rels[d - 1] = GradedSubspace(rel.classes, tuple(p.sum([r]) for p, r in zip(rel.parts, rows)))
+    for d in range(1, q.cutoff):
+        dst = rels[d].classes
+        pieces = [[] for _ in dst.cols]
+        for basis, w, pos in _shifted(space.n, rels[d - 1], dst):
+            pieces[w].append(_place(basis, pos, dst.cols[w].size))
+        rels[d] = GradedSubspace(dst, tuple(p.sum(rows) for p, rows in zip(rels[d].parts, pieces)))
+    return rels
+
+
+def _matches_stacked_saturate(q, gens):
+    out = ideal_saturate(q, gens)
+    for rel, ref in zip(out._rels, _stacked_saturate(q, gens)):
+        assert rel.classes is ref.classes
+        for x, y in zip(rel.parts, ref.parts):
+            _identical(x, y)
+    return out
+
+
+# flip over Q, a graded diagonal braiding over GF(7), and the A2 pair
+# (5/2, -2/5) over Q, the lane whose eliminations reach object dtype
+SATURATION_SPACES = [
+    make_flip(2, RATIONALS),
+    diagonal_space(GF(7), [[2, 3], [4, 5]]),
+    diagonal_space(RATIONALS, [[-1, Fraction(5, 2)], [Fraction(-2, 5), -1]]),
+]
+
+
+@st.composite
+def saturation_case(draw):
+    """A quotient, free or saturated from a first batch of generators, and a
+    batch of generators for it.  Each generator row lies in one weight class
+    of degree 1, 2 or 3; sometimes a row crosses classes (the one-class
+    partition) and sometimes an entry is near 2**62 (object dtype)."""
+    space = draw(st.sampled_from(SATURATION_SPACES))
+    cutoff = draw(st.integers(3, 5))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.integers(2**62 - 3, 2**62 + 3), st.integers(-(2**62) - 3, -(2**62) + 3))
+
+    def batch():
+        gens = []
+        for d in draw(st.lists(st.sampled_from([1, 2, 2, 3, 3]), min_size=1, max_size=2)):
+            classes, rows = space.classes(d), []
+            for _ in range(draw(st.integers(1, 3))):
+                cols = classes.cols[draw(st.integers(0, len(classes.cols) - 1))]
+                rows.append([draw(entry) if t in cols else 0 for t in range(space.n**d)])
+            if draw(st.integers(0, 4)) == 0:
+                rows.append([draw(entry) for _ in range(space.n**d)])
+            gens.append((d, Subspace.from_rows(Matrix.from_scalars(space.field, rows))))
+        return gens
+
+    q = free_truncated(space, cutoff)
+    if draw(st.booleans()):
+        q = ideal_saturate(q, batch())
+    return q, batch()
+
+
+@settings(max_examples=60, deadline=None)
+@given(saturation_case())
+def test_saturate_matches_the_stacked_sweep(case):
+    _matches_stacked_saturate(*case)
+
+
+@pytest.mark.parametrize("space", SATURATION_SPACES, ids=["flip-QQ", "diag-F7", "a2-QQ"])
+def test_saturate_matches_the_stacked_sweep_on_zero_full_and_crossing(space):
+    # e00 fills its one-word class in every degree and leaves the class of
+    # e1...e1 at 0; a row across two classes takes the one-class partition;
+    # a tower stage gives old rows in every degree to restrict by
+    q = free_truncated(space, 5)
+    square = Subspace.from_rows(Matrix.from_scalars(space.field, [[1, 0, 0, 0]]))
+    out = _matches_stacked_saturate(q, [(2, square)])
+    for d in range(2, 6):
+        parts = out._rels[d - 1].parts
+        assert parts[0].dim == 1 and parts[-1].dim == 0 and len(parts) == d + 1
+    crossing = Subspace.from_rows(Matrix.from_scalars(space.field, [[1, 0, 0, 1]]))
+    assert len(_matches_stacked_saturate(q, [(2, crossing)]).classes(3).cols) == 1
+    # e01 + 3/(2**62 + 1) e10 is stored over the denominator 2**62 + 1: object dtype over Q
+    big = Subspace.from_rows(Matrix.from_scalars(space.field, [[0, 2**62 + 1, 3, 0]]))
+    out = _matches_stacked_saturate(q, [(2, big)])
+    assert any(p.basis.num.dtype == object for p in out._rels[2].parts) is space.field.is_rationals
+    stages = []
+    run(space, 5, on_stage=lambda stage, _: stages.append(stage))
+    e001 = Subspace.from_rows(Matrix.from_scalars(space.field, [[0, 1, 0, 0, 0, 0, 0, 0]]))
+    for stage in stages:
+        _matches_stacked_saturate(stage, [(3, e001)])
 
 
 def test_graded_subspace_equality_across_partitions():
